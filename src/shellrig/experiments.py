@@ -1,11 +1,13 @@
 """h-sweeps, scaling-exponent fits, and pass/fail verdicts.
 
-A sweep builds one thin domain, grid, and field per thickness value,
-evaluates the inequality report, and fits log(ratio) against log(h).  The
-headline checks are sharpness (the ratio of the bending-type field stays
-flat in h) and validity (no random field makes the constant blow up as
-h -> 0).  Verdict thresholds are artifact policy, stored in the config and
-echoed into every output.
+A sweep builds one thin domain and one quadrature grid per thickness value,
+evaluates the inequality report of each field on that grid (the seeds of a
+random battery share it and its cached geometry), keeps the battery
+maximum, and fits log(ratio) against log(h).  The headline checks are
+sharpness (the ratio of the bending-type field stays flat in h) and
+validity (no random field makes the constant blow up as h -> 0).  Verdict
+thresholds are artifact policy, stored in the config and echoed into every
+output.
 """
 
 from __future__ import annotations
@@ -175,50 +177,47 @@ def _resolution_for(config: SweepConfig, domain: geo.ThinDomain) -> tuple[int, i
     return (config.nt, nth, config.nz)
 
 
-def _single_report(config: SweepConfig, surface, h: float, field_spec: str, profile_cache: dict):
-    domain = geo.ThinDomain(surface, geo.make_profile(config.profile, h, surface))
-    grid = nm.build_grid(domain, _resolution_for(config, domain))
-    eps = config.epsilon(h)
+def _displacement(config: SweepConfig, grid: nm.QuadratureGrid, spec: str, profile_cache: dict):
+    surface = grid.domain.surface
+    name = spec.partition(":")[0]
+    if name == "ansatz":
+        prof = profile_cache.setdefault("ansatz", fl.default_ansatz_profile(surface))
+        return fl.ansatz_displacement(prof, surface, grid.domain.h)
+    if name == "user":
+        return fl.make_field(spec, surface, grid.domain.h, domain=grid.domain)
+    return fl.random_smooth_field(int(spec.partition(":")[2] or 0), config.amplitude, config.modes, surface)
+
+
+def _single_report(
+    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile_cache: dict
+):
+    """One interpolation report of one field on a grid shared by the battery."""
+    surface = grid.domain.surface
     name = field_spec.partition(":")[0]
-
     if name in ("identity", "rigid"):
-        y = fl.make_field(field_spec, surface, h)
-        if name == "rigid":
-            rot, off = _rigid_params(field_spec)
-        else:
-            rot, off = np.eye(3), np.zeros(3)
+        y = fl.make_field(field_spec, surface, grid.domain.h)
+        rot, off = _rigid_params(field_spec) if name == "rigid" else (np.eye(3), np.zeros(3))
     else:
-        if name == "ansatz":
-            prof = profile_cache.setdefault("ansatz", fl.default_ansatz_profile(surface))
-            u = fl.ansatz_displacement(prof, surface, h)
-        elif name == "user":
-            u = fl.make_field(field_spec, surface, h, domain=domain)
-        else:
-            u = fl.random_smooth_field(int(field_spec.partition(":")[2] or 0), config.amplitude, config.modes, surface)
+        u = _displacement(config, grid, field_spec, profile_cache)
         y = fl.displacement_to_deformation(surface, u, eps)
-        rot = np.eye(3)
-        off = None
-
+        rot, off = np.eye(3), ("mean" if config.offset_mode == "mean" else np.zeros(3))
     if config.rotation_mode == "best-fit":
-        t, th, zz = grid.mesh()
-        g = fl.frame_gradient(y, surface, t, th, zz)
-        e = np.broadcast_to(surface.frame(th, zz), g.shape)
-        ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
-        mean = np.einsum("tij,tijkl->kl", grid.weights, ge) / grid.volume
-        from .matrixops import nearest_rotation
-
-        rot = nearest_rotation(mean, warn_degenerate=False)
-    if off is None:
-        off = (
-            ineq.optimal_offset(y, rot, domain, grid)
-            if config.offset_mode == "mean"
-            else np.zeros(3)
-        )
-    rep = ineq.interpolation_sides(
-        y, rot, off, domain, grid, config.p,
+        rot = "best-fit"
+    return ineq.interpolation_sides(
+        y, rot, off, grid.domain, grid, config.p,
         meta={"epsilon": eps, "field": field_spec, "grid": grid.resolution},
     )
-    return rep, grid
+
+
+def _korn_report(
+    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile_cache: dict
+):
+    """One linearized report of one displacement on a grid shared by the battery."""
+    u = _displacement(config, grid, field_spec, profile_cache)
+    return ineq.korn_linear_sides(
+        u, grid.domain, grid, config.p,
+        meta={"epsilon": eps, "field": field_spec, "grid": grid.resolution},
+    )
 
 
 def _rigid_params(spec: str):
@@ -228,7 +227,7 @@ def _rigid_params(spec: str):
     return random_rotation(rng), rng.normal(size=3)
 
 
-def _row_from(rep, grid, h, eps) -> dict:
+def _row_from(rep, resolution, h, eps) -> dict:
     return {
         "h": h,
         "p": rep.p,
@@ -238,31 +237,72 @@ def _row_from(rep, grid, h, eps) -> dict:
         "rhs_field_sq": rep.rhs_field_sq,
         "rhs_dist_sq": rep.rhs_dist_sq,
         "ratio": rep.ratio,
-        "grid_nt": grid.resolution[0],
-        "grid_ntheta": grid.resolution[1],
-        "grid_nz": grid.resolution[2],
+        "grid_nt": resolution[0],
+        "grid_ntheta": resolution[1],
+        "grid_nz": resolution[2],
     }
 
 
 def _map_h(config: SweepConfig, work, h_values):
-    """Evaluate work(h) for each h, ordered by h; raise with partial results.
+    """Evaluate work(h) for each h, in h order; stop at the first failure.
 
-    Worker output is deterministic either way: each per-h evaluation is a
-    pure function and results are assembled in h order.
+    The failure is raised as a SweepError naming that h and carrying the
+    rows of the h values before it.  With threads > 1 the h values run
+    concurrently but results are read in h order, so the failing h and the
+    partial rows are those of the serial run; h values not yet started are
+    cancelled, and errors of later h values are not reported.
     """
     results = []
     try:
         if config.threads > 1:
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(work, h_values))
+                futures = [pool.submit(work, h) for h in h_values]
+                try:
+                    for fut in futures:
+                        results.append(fut.result())
+                finally:
+                    for fut in futures:
+                        fut.cancel()
         else:
             for h in h_values:
                 results.append(work(h))
     except Exception as err:
-        failing = h_values[len(results)] if len(results) < len(h_values) else None
-        partial = [_row_from(rep, grid, h, eps) for h, eps, rep, grid in results]
-        raise SweepError(f"sweep failed at h={failing}: {err}", partial) from err
+        partial = [_row_from(rep, res, h, eps) for h, eps, rep, res in results]
+        raise SweepError(f"sweep failed at h={h_values[len(results)]}: {err}", partial) from err
     return results
+
+
+def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
+    """Rows and reports of a sweep, one per h.
+
+    For each h one thin domain and one grid are built and shared by every
+    seed of a battery; the grid, with its cache, is dropped when its h is
+    done.  A battery keeps the largest finite ratio; non-finite reports are
+    skipped, and an h where every seed is non-finite fails.
+    """
+    config.validate()
+    surface = geo.make_surface(config.surface, **config.surface_params)
+    battery = config.field == "random"
+    specs = [f"random:{seed}" for seed in range(config.seeds)] if battery else [config.field]
+    profile_cache: dict = {}
+
+    def work(h: float):
+        domain = geo.ThinDomain(surface, geo.make_profile(config.profile, h, surface))
+        grid = nm.build_grid(domain, _resolution_for(config, domain))
+        eps = epsilon(h)
+        reps = [report(config, grid, eps, spec, profile_cache) for spec in specs]
+        if not battery:
+            return h, eps, reps[0], grid.resolution
+        finite = [rep for rep in reps if math.isfinite(rep.ratio)]
+        if not finite:
+            raise SweepError(f"no battery seed gave a finite ratio (seeds {', '.join(specs)})")
+        # max keeps the first of equal ratios, i.e. the lowest seed
+        return h, eps, max(finite, key=lambda rep: rep.ratio), grid.resolution
+
+    h_values = [float(h) for h in config.h_values()]
+    results = _map_h(config, work, h_values)
+    rows = [_row_from(rep, res, h, eps) for h, eps, rep, res in results]
+    return rows, [rep for _, _, rep, _ in results]
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -271,33 +311,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Any per-h failure aborts the sweep with the failing h identified; rows
     computed before the failure are attached to the raised error.
     """
-    config.validate()
-    surface = geo.make_surface(config.surface, **config.surface_params)
-    battery = config.field == "random"
-    profile_cache: dict = {}
-    rows, reports = [], []
-
-    def work(h: float):
-        eps = config.epsilon(h)
-        if battery:
-            best = None
-            for seed in range(config.seeds):
-                rep, grid = _single_report(config, surface, h, f"random:{seed}", profile_cache)
-                if best is None or (
-                    math.isfinite(rep.ratio) and rep.ratio > best[0].ratio
-                ):
-                    best = (rep, grid)
-            rep, grid = best
-        else:
-            rep, grid = _single_report(config, surface, h, config.field, profile_cache)
-        return h, eps, rep, grid
-
-    h_values = [float(h) for h in config.h_values()]
-    results = _map_h(config, work, h_values)
-    for h, eps, rep, grid in results:
-        rows.append(_row_from(rep, grid, h, eps))
-        reports.append(rep)
-
+    rows, reports = _sweep(config, _single_report, config.epsilon)
     verdicts = {}
     degenerate = all(rep.flag == "degenerate-exact" for rep in reports)
     if degenerate:
@@ -315,7 +329,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 f"|alpha_hat|={abs(fit.alpha_hat):.4f} vs tol {config.slope_tol} "
                 f"(r2 of the flat-line fit: {fit.r2:.4f})",
             )
-        elif battery or config.field.startswith("random"):
+        elif config.field.startswith("random"):
             ok = fit.alpha_hat >= -config.slope_tol
             verdicts["validity"] = (
                 ok,
@@ -328,47 +342,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 def korn_sweep(config: SweepConfig) -> SweepResult:
     """Sweep of the linearized sides; fields must be displacements."""
-    config.validate()
     name = config.field.partition(":")[0]
     if name in ("identity", "rigid"):
         raise ValueError("the linearized sweep needs a displacement field (ansatz or random)")
-    surface = geo.make_surface(config.surface, **config.surface_params)
-    battery = config.field == "random"
-    profile_cache: dict = {}
-
-    def one(h: float, spec: str):
-        domain = geo.ThinDomain(surface, geo.make_profile(config.profile, h, surface))
-        grid = nm.build_grid(domain, _resolution_for(config, domain))
-        if spec.startswith("ansatz"):
-            prof = profile_cache.setdefault("ansatz", fl.default_ansatz_profile(surface))
-            u = fl.ansatz_displacement(prof, surface, h)
-        elif spec.startswith("user"):
-            u = fl.make_field(spec, surface, h, domain=domain)
-        else:
-            u = fl.random_smooth_field(int(spec.partition(":")[2] or 0), config.amplitude, config.modes, surface)
-        rep = ineq.korn_linear_sides(
-            u, domain, grid, config.p, meta={"epsilon": 0.0, "field": spec, "grid": grid.resolution}
-        )
-        return rep, grid
-
-    def work(h: float):
-        if battery:
-            best = None
-            for seed in range(config.seeds):
-                rep, grid = one(h, f"random:{seed}")
-                if best is None or (math.isfinite(rep.ratio) and rep.ratio > best[0].ratio):
-                    best = (rep, grid)
-            rep, grid = best
-        else:
-            rep, grid = one(h, config.field)
-        return h, 0.0, rep, grid
-
-    h_values = [float(h) for h in config.h_values()]
-    results = _map_h(config, work, h_values)
-    rows, reports = [], []
-    for h, eps, rep, grid in results:
-        rows.append(_row_from(rep, grid, h, eps))
-        reports.append(rep)
+    rows, reports = _sweep(config, _korn_report, lambda h: 0.0)
 
     verdicts = {}
     skew_like = all(rep.rhs_dist_sq <= 1e-24 * max(rep.lhs, 1.0) for rep in reports)

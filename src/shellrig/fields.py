@@ -19,10 +19,12 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    ChartCoefficients,
     ChartDegeneracyError,
     DomainError,
     ParamSurface,
     ThinDomain,
+    chart_coefficients,
     embed,
 )
 
@@ -41,21 +43,20 @@ class FrameField:
     (..., 3, 3) with entry [i, j] = d component_i / d coordinate_j for the
     coordinate order (t, theta, z).  ``kind`` is "deformation" (gradient
     compared against rotations) or "displacement" (compared against zero).
+    ``displacement`` is (u, eps) when the field is the deformation x + eps*u
+    (``displacement_to_deformation``); grid evaluation then reads the map
+    x -> x from the grid's cache and evaluates only u.
     """
 
     components: Callable
     partials: Callable
     kind: str
     description: str = ""
+    displacement: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("deformation", "displacement"):
             raise ValueError("kind must be 'deformation' or 'displacement'")
-
-    def euclidean(self, surface: ParamSurface, t, theta, z) -> Array:
-        """Field value as a Euclidean vector, E @ components."""
-        e = surface.frame(theta, z)
-        return np.einsum("...ij,...j->...i", e, self.components(t, theta, z))
 
 
 def check_field_finite(field: FrameField, t, theta, z) -> None:
@@ -79,14 +80,15 @@ def frame_gradient(field: FrameField, surface: ParamSurface, t, theta, z) -> Arr
     par = field.partials(t, theta, z)
     if par is None:
         raise ValueError("field has no partials; supply analytic or sampled partials")
+    return gradient_from_partials(comp, par, t, chart_coefficients(surface, theta, z))
 
-    ath = _arr(surface.a_theta(theta, z))
-    az = _arr(surface.a_z(theta, z))
-    kth = _arr(surface.kappa_theta(theta, z))
-    kz = _arr(surface.kappa_z(theta, z))
-    athz = _arr(surface.da_theta_dz(theta, z))
-    azth = _arr(surface.da_z_dtheta(theta, z))
 
+def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients) -> Array:
+    """``frame_gradient`` from evaluated components and partials.
+
+    ``coeffs`` may sit on the (theta, z) nodes alone; they broadcast over t.
+    """
+    ath, az, kth, kz, athz, azth = coeffs
     fac_th = 1.0 + t * kth
     fac_z = 1.0 + t * kz
     if np.any(fac_th <= 0) or np.any(fac_z <= 0):
@@ -106,6 +108,27 @@ def frame_gradient(field: FrameField, surface: ParamSurface, t, theta, z) -> Arr
     g[..., 1, 2] = (par[..., 1, 2] - (azth / ath) * yz) / dz
     g[..., 2, 2] = (par[..., 2, 2] + az * kz * yt + (azth / ath) * yth) / dz
     return g
+
+
+def on_grid(field: FrameField, grid) -> tuple[Array, Array]:
+    """Components and partials of ``field`` on every node of a quadrature grid.
+
+    Each callable is called once, with theta and z on the (ntheta, nz) nodes
+    broadcasting against the grid's t.  For x + eps*u only u is evaluated;
+    x -> x comes from the grid's cache.
+    """
+    th, zz = grid.plane
+    base, eps = field.displacement or (field, None)
+    comp = base.components(grid.t, th, zz)
+    par = base.partials(grid.t, th, zz)
+    if par is None:
+        raise ValueError("field has no partials; supply analytic or sampled partials")
+    if eps is not None:
+        comp = comp * eps
+        comp += grid.identity.components
+        par = par * eps
+        par += grid.identity.partials
+    return comp, par
 
 
 def linear_strain(field: FrameField, surface: ParamSurface, t, theta, z) -> Array:
@@ -168,31 +191,12 @@ def identity_deformation(surface: ParamSurface) -> FrameField:
     """The map x -> x written in frame components on the offset chart."""
 
     def comp(t, theta, z):
-        pos = surface.position(theta, z) + _arr(t)[..., None] * surface.normal(theta, z)
-        e = surface.frame(theta, z)
-        return np.einsum("...ik,...i->...k", e, pos)
+        nodes = surface.nodes(theta, z)
+        return nodes.in_frame(nodes.point(t))
 
     def par(t, theta, z):
-        t = _arr(t)
-        pos = surface.position(theta, z) + t[..., None] * surface.normal(theta, z)
-        e = surface.frame(theta, z)
-        de_th, de_z = surface.frame_derivatives(theta, z)
-        ath = _arr(surface.a_theta(theta, z))
-        az = _arr(surface.a_z(theta, z))
-        kth = _arr(surface.kappa_theta(theta, z))
-        kz = _arr(surface.kappa_z(theta, z))
-        dp_t = surface.normal(theta, z)
-        dp_th = (ath * (1.0 + t * kth))[..., None] * e[..., 1]
-        dp_z = (az * (1.0 + t * kz))[..., None] * e[..., 2]
-        out = np.empty(np.broadcast(t, ath).shape + (3, 3))
-        out[..., 0] = np.einsum("...ik,...i->...k", e, dp_t)
-        out[..., 1] = np.einsum("...ik,...i->...k", e, dp_th) + np.einsum(
-            "...ik,...i->...k", de_th, pos
-        )
-        out[..., 2] = np.einsum("...ik,...i->...k", e, dp_z) + np.einsum(
-            "...ik,...i->...k", de_z, pos
-        )
-        return out
+        nodes = surface.nodes(theta, z)
+        return nodes.identity_partials(t, nodes.point(t))
 
     return FrameField(comp, par, kind="deformation", description="identity")
 
@@ -205,8 +209,8 @@ def transform_rigid(
     c = _arr(offset)
 
     def mats(theta, z):
-        e = surface.frame(theta, z)
-        de_th, de_z = surface.frame_derivatives(theta, z)
+        nodes = surface.nodes(theta, z)
+        e, de_th, de_z = nodes.frame, nodes.d_theta, nodes.d_z
         m = np.einsum("...ik,ij,...jl->...kl", e, q, e)
         dm_th = np.einsum("...ik,ij,...jl->...kl", de_th, q, e) + np.einsum(
             "...ik,ij,...jl->...kl", e, q, de_th
@@ -258,7 +262,11 @@ def displacement_to_deformation(
         return ident.partials(t, theta, z) + eps * u.partials(t, theta, z)
 
     return FrameField(
-        comp, par, kind="deformation", description=f"x + {eps!r}*({u.description})"
+        comp,
+        par,
+        kind="deformation",
+        description=f"x + {eps!r}*({u.description})",
+        displacement=(u, eps),
     )
 
 
@@ -281,14 +289,6 @@ def random_smooth_field(
     w_th = (np.pi / (t1 - t0)) * rng.integers(0, 3, (3, mode_count))
     w_z = (np.pi / (z1 - z0)) * rng.integers(0, 3, (3, mode_count))
     phase = rng.uniform(0.0, 2.0 * np.pi, (3, mode_count, 3))
-
-    def _angles(t, theta, z):
-        t, theta, z = np.broadcast_arrays(_arr(t), _arr(theta), _arr(z))
-        sh = t.shape + (1,)
-        at = t.reshape(sh) * w_t + phase[..., 0]
-        ath = (theta.reshape(sh) - t0) * w_th + phase[..., 1]
-        az = (z.reshape(sh) - z0) * w_z + phase[..., 2]
-        return at, ath, az  # shapes (..., 3, mode_count) after broadcasting
 
     def comp(t, theta, z):
         t_, th_, z_ = np.broadcast_arrays(_arr(t), _arr(theta), _arr(z))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,66 @@ def _arr(x) -> Array:
 def _vec(*comps) -> Array:
     parts = np.broadcast_arrays(*[_arr(c) for c in comps])
     return np.stack(parts, axis=-1)
+
+
+class ChartCoefficients(NamedTuple):
+    """Metric coefficients, principal curvatures and the metric partials that
+    couple the frame columns, evaluated at a set of chart nodes."""
+
+    a_theta: Array
+    a_z: Array
+    kappa_theta: Array
+    kappa_z: Array
+    da_theta_dz: Array
+    da_z_dtheta: Array
+
+
+def chart_coefficients(surface: ParamSurface, theta, z) -> ChartCoefficients:
+    """The coefficients of ``surface`` at the nodes (theta, z)."""
+    return ChartCoefficients(
+        *(_arr(getattr(surface, name)(theta, z)) for name in ChartCoefficients._fields)
+    )
+
+
+@dataclass(frozen=True)
+class SurfaceNodes:
+    """Mid-surface data at fixed (theta, z) nodes.
+
+    Nothing here depends on the thickness coordinate t, so on a quadrature
+    grid it is evaluated once on the (ntheta, nz) nodes and broadcast over
+    the thickness nodes (``QuadratureGrid.nodes``).
+    """
+
+    position: Array  # (..., 3)
+    frame: Array  # (..., 3, 3), columns (e_t, e_theta, e_z); e_t is the normal
+    d_theta: Array  # d/dtheta of the frame columns
+    d_z: Array
+    coeffs: ChartCoefficients
+
+    def point(self, t) -> Array:
+        """Normal-offset chart point r + t * n; t broadcasts against the nodes."""
+        return self.position + _arr(t)[..., None] * self.frame[..., 0]
+
+    def in_frame(self, v) -> Array:
+        """Frame components E^T v of Euclidean vectors v at the nodes."""
+        return np.einsum("...ik,...i->...k", self.frame, v)
+
+    def identity_partials(self, t, x) -> Array:
+        """Coordinate partials of the frame components of the map x -> x.
+
+        ``x = point(t)``.  They carry the (1 + t*kappa) stretch of the offset
+        chart and the turning of the frame along the surface.
+        """
+        t = _arr(t)
+        e = self.frame
+        c = self.coeffs
+        dp_th = (c.a_theta * (1.0 + t * c.kappa_theta))[..., None] * e[..., 1]
+        dp_z = (c.a_z * (1.0 + t * c.kappa_z))[..., None] * e[..., 2]
+        out = np.empty(x.shape + (3,))
+        out[..., 0] = self.in_frame(e[..., 0])
+        out[..., 1] = self.in_frame(dp_th) + np.einsum("...ik,...i->...k", self.d_theta, x)
+        out[..., 2] = self.in_frame(dp_z) + np.einsum("...ik,...i->...k", self.d_z, x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -118,14 +178,20 @@ class ParamSurface:
 
     def frame_derivatives(self, theta, z) -> tuple[Array, Array]:
         """(d/dtheta, d/dz) of the frame columns, from the structure equations."""
+        nodes = self.nodes(theta, z)
+        return nodes.d_theta, nodes.d_z
+
+    def nodes(self, theta, z) -> SurfaceNodes:
+        """Frame, frame derivatives and chart coefficients at the given nodes."""
         e = self.frame(theta, z)
         et, eth, ez = e[..., 0], e[..., 1], e[..., 2]
-        ath = _arr(self.a_theta(theta, z))[..., None]
-        az = _arr(self.a_z(theta, z))[..., None]
-        kth = _arr(self.kappa_theta(theta, z))[..., None]
-        kz = _arr(self.kappa_z(theta, z))[..., None]
-        athz = _arr(self.da_theta_dz(theta, z))[..., None]
-        azth = _arr(self.da_z_dtheta(theta, z))[..., None]
+        coeffs = chart_coefficients(self, theta, z)
+        ath = coeffs.a_theta[..., None]
+        az = coeffs.a_z[..., None]
+        kth = coeffs.kappa_theta[..., None]
+        kz = coeffs.kappa_z[..., None]
+        athz = coeffs.da_theta_dz[..., None]
+        azth = coeffs.da_z_dtheta[..., None]
 
         d_theta = np.stack(
             [
@@ -143,7 +209,7 @@ class ParamSurface:
             ],
             axis=-1,
         )
-        return d_theta, d_z
+        return SurfaceNodes(self.position(theta, z), e, d_theta, d_z, coeffs)
 
     # -- scalar summaries -----------------------------------------------------
 
@@ -538,9 +604,7 @@ class ThinDomain:
         self.surface.require_inside(theta, z)
         lo, hi = self.t_bounds(theta, z)
         t = _arr(t)
-        bad = (t < lo - 1e-15 + pad * 0) | (t > hi + 1e-15)
-        if pad:
-            bad = (t - pad < lo - 1e-15) | (t + pad > hi + 1e-15)
+        bad = (t - pad < lo - 1e-15) | (t + pad > hi + 1e-15)
         if np.any(bad):
             off = np.atleast_1d(t)[np.atleast_1d(bad)].flat[0]
             raise DomainError(f"t={off!r} outside the thickness interval (-g1, g2)")

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import FrameField, frame_gradient
-from .geometry import ThinDomain, embed
-from .matrixops import dist_SO3
+from .fields import FrameField, frame_gradient, gradient_from_partials, on_grid
+from .geometry import ThinDomain, embed  # noqa: F401  (re-exported: tools bind inequality.embed)
+from .matrixops import dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, lp_norm, weighted_mean
 
 Array = np.ndarray
@@ -98,44 +98,70 @@ def _require_rotation(rotation: Array) -> Array:
     return r
 
 
+def _residual(comp: Array, rotation: Array, grid: QuadratureGrid) -> Array:
+    """y - R x on every node, from the frame components of y."""
+    y_e = np.einsum("...ij,...j->...i", grid.nodes.frame, comp)
+    return y_e - np.einsum("ij,...j->...i", rotation, grid.identity.points)
+
+
+def _best_fit_rotation(g: Array, grid: QuadratureGrid) -> Array:
+    """Nearest rotation to the volume mean of the Euclidean gradient E g E^T."""
+    e = grid.nodes.frame
+    ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+    mean = np.einsum("tij,tijkl->kl", grid.weights, ge) / grid.volume
+    return nearest_rotation(mean, warn_degenerate=False)
+
+
 def optimal_offset(y: FrameField, rotation: Array, domain: ThinDomain, grid: QuadratureGrid) -> Array:
     """Grid mean of y - R x, the L^2-optimal offset (used for all p)."""
-    t, th, zz = grid.mesh()
-    y_e = y.euclidean(domain.surface, t, th, zz)
-    x_e = embed(domain, t, th, zz, check=False)
-    resid = y_e - np.einsum("ij,...j->...i", np.asarray(rotation, dtype=float), x_e)
-    return weighted_mean(resid, grid)
+    comp, _ = on_grid(y, grid)
+    return weighted_mean(_residual(comp, np.asarray(rotation, dtype=float), grid), grid)
 
 
 def interpolation_sides(
     y: FrameField,
-    rotation: Array,
-    offset: Array,
+    rotation: Array | str,
+    offset: Array | str | None,
     domain: ThinDomain,
     grid: QuadratureGrid,
     p: float,
     meta: dict | None = None,
 ) -> InequalityReport:
-    """Evaluate every side of the interpolation inequality for a deformation."""
+    """Evaluate every side of the interpolation inequality for a deformation.
+
+    ``rotation`` is a matrix in SO(3), or "best-fit" for the nearest rotation
+    to the volume mean of the gradient.  ``offset`` is a vector, None for
+    zero, or "mean" for the L^2-optimal offset given the rotation.  The
+    field's components and partials are evaluated once; x and the frame
+    come from the cache of ``grid``, which must be a grid on ``domain``.
+    """
     if y.kind != "deformation":
         raise ValueError("interpolation sides need a deformation field")
-    r = _require_rotation(rotation)
-    b = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
+    if isinstance(rotation, str) and rotation != "best-fit":
+        raise ValueError("rotation must be a 3x3 matrix or 'best-fit'")
+    if isinstance(offset, str) and offset != "mean":
+        raise ValueError("offset must be a 3-vector, None, or 'mean'")
 
-    t, th, zz = grid.mesh()
-    surface = domain.surface
-    g = frame_gradient(y, surface, t, th, zz)
-    e = surface.frame(th, zz)
-    e = np.broadcast_to(e, g.shape)
-    r_frame = np.einsum("...ki,kl,...lj->...ij", e, r, e)
+    # each 3-d array is dropped after its last use, which bounds peak memory
+    comp, par = on_grid(y, grid)
+    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
+    del par
+    r = _require_rotation(_best_fit_rotation(g, grid) if isinstance(rotation, str) else rotation)
 
-    y_e = y.euclidean(surface, t, th, zz)
-    x_e = embed(domain, t, th, zz, check=False)
-    resid = y_e - np.einsum("ij,...j->...i", r, x_e) - b
-
+    resid = _residual(comp, r, grid)
+    del comp
+    if isinstance(offset, str):
+        b = weighted_mean(resid, grid)
+    else:
+        b = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
+    resid -= b
     field_norm = lp_norm(resid, grid, p)
+    del resid
+
     dist_norm = lp_norm(dist_SO3(g), grid, p)
-    lhs = lp_norm(g - r_frame, grid, p) ** 2
+    e = grid.nodes.frame
+    g -= np.einsum("...ki,kl,...lj->...ij", e, r, e)
+    lhs = lp_norm(g, grid, p) ** 2
     prod = field_norm * dist_norm / domain.h
     scale = grid.volume ** (2.0 / p)
     return _finalize(
@@ -154,12 +180,11 @@ def korn_linear_sides(
     """Linearized sides: gradient vs field norm and linear strain."""
     if u.kind != "displacement":
         raise ValueError("the linearized sides need a displacement field")
-    t, th, zz = grid.mesh()
-    surface = domain.surface
-    g = frame_gradient(u, surface, t, th, zz)
+    comp, par = on_grid(u, grid)
+    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
     strain = 0.5 * (g + np.swapaxes(g, -1, -2))
 
-    field_norm = lp_norm(u.components(t, th, zz), grid, p)
+    field_norm = lp_norm(comp, grid, p)
     strain_norm = lp_norm(strain, grid, p)
     lhs = lp_norm(g, grid, p) ** 2
     prod = field_norm * strain_norm / domain.h

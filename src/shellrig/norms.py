@@ -11,14 +11,24 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .geometry import ChartDegeneracyError, ThinDomain, volume_jacobian
+from .geometry import ChartDegeneracyError, SurfaceNodes, ThinDomain, volume_jacobian
 
 Array = np.ndarray
+
+
+class IdentityMap(NamedTuple):
+    """The map x -> x on every node of a grid (read-only arrays)."""
+
+    components: Array  # frame components E^T x
+    partials: Array
+    points: Array  # embedded points x
 
 
 @dataclass(frozen=True)
@@ -28,6 +38,14 @@ class QuadratureGrid:
     ``t`` has shape (nt, ntheta, nz); ``theta`` and ``z`` are the 1-d node
     sets; ``weights`` includes the volume element, so ``weights.sum()`` is
     the domain volume up to the rule's accuracy.
+
+    The grid also caches what every field evaluated on it shares, each
+    computed on first use and kept for the grid's lifetime: ``nodes``, the
+    frame and chart coefficients on the (ntheta, nz) nodes only, since none
+    depends on t; and ``identity``, the embedded points and the frame
+    components and partials of the map x -> x on all nodes.  The latter are
+    3-d arrays (about 120 bytes per node), so hold a grid only while its
+    reports are evaluated: a sweep keeps ``resolution``, not the grid.
     """
 
     domain: ThinDomain
@@ -44,6 +62,23 @@ class QuadratureGrid:
     @property
     def volume(self) -> float:
         return float(self.weights.sum())
+
+    @property
+    def plane(self) -> tuple[Array, Array]:
+        """theta and z as (ntheta, 1) and (1, nz) arrays; they broadcast against ``t``."""
+        return self.theta[:, None], self.z[None, :]
+
+    @cached_property
+    def nodes(self) -> SurfaceNodes:
+        return self.domain.surface.nodes(*self.plane)
+
+    @cached_property
+    def identity(self) -> IdentityMap:
+        x = self.nodes.point(self.t)
+        out = IdentityMap(self.nodes.in_frame(x), self.nodes.identity_partials(self.t, x), x)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def mesh(self) -> tuple[Array, Array, Array]:
         """Full (nt, ntheta, nz) coordinate arrays."""

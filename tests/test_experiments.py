@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -126,11 +127,67 @@ def test_sweep_determinism():
     assert a.fit.alpha_hat == b.fit.alpha_hat
 
 
-def test_threading_matches_serial():
+def test_threading_matches_serial(monkeypatch):
     cfg = dict(ntheta=32, nz=24, nt=4, num_h=4, h_min=1e-2, h_max=1e-1)
     serial = ex.run_sweep(ex.SweepConfig(threads=1, **cfg))
     threaded = ex.run_sweep(ex.SweepConfig(threads=4, **cfg))
     assert serial.rows == threaded.rows
+
+    # a failure at the third h names that h and keeps the two rows before it,
+    # whatever the thread count
+    failing = float(ex.SweepConfig(**cfg).h_values()[2])
+    orig = ex._single_report
+
+    def boom(config, grid, eps, spec, cache):
+        if grid.domain.h == failing:
+            raise RuntimeError("synthetic failure")
+        return orig(config, grid, eps, spec, cache)
+
+    monkeypatch.setattr(ex, "_single_report", boom)
+    errors = {}
+    for threads in (1, 4):
+        with pytest.raises(ex.SweepError) as err:
+            ex.run_sweep(ex.SweepConfig(threads=threads, **cfg))
+        errors[threads] = err.value
+    assert str(errors[1]) == str(errors[4])
+    assert f"sweep failed at h={failing}: synthetic failure" == str(errors[4])
+    assert errors[1].partial_rows == errors[4].partial_rows == serial.rows[:2]
+
+
+def _nan_for(seeds, orig):
+    """A report function that records every ratio and makes the given seeds NaN."""
+    seen = {}
+
+    def report(config, grid, eps, spec, cache):
+        rep = orig(config, grid, eps, spec, cache)
+        if spec in seeds:
+            rep = dataclasses.replace(rep, ratio=math.nan)
+        seen.setdefault(grid.domain.h, []).append(rep.ratio)
+        return rep
+
+    return report, seen
+
+
+@pytest.mark.parametrize("sweep, report", [(ex.run_sweep, "_single_report"), (ex.korn_sweep, "_korn_report")])
+def test_battery_maximum_skips_nan_ratio(monkeypatch, sweep, report):
+    patched, seen = _nan_for({"random:0"}, getattr(ex, report))
+    monkeypatch.setattr(ex, report, patched)
+    res = sweep(ex.SweepConfig(field="random", seeds=3, **FAST))
+    assert len(res.rows) == FAST["num_h"]
+    for row in res.rows:
+        ratios = seen[row["h"]]
+        assert len(ratios) == 3 and math.isnan(ratios[0])
+        assert row["ratio"] == max(ratios[1:])
+
+
+@pytest.mark.parametrize("sweep, report", [(ex.run_sweep, "_single_report"), (ex.korn_sweep, "_korn_report")])
+def test_battery_fails_when_every_seed_is_nan(monkeypatch, sweep, report):
+    patched, _ = _nan_for({"random:0", "random:1"}, getattr(ex, report))
+    monkeypatch.setattr(ex, report, patched)
+    h0 = float(ex.SweepConfig(**FAST).h_values()[0])
+    with pytest.raises(ex.SweepError, match=f"h={h0}: .*seeds random:0, random:1") as err:
+        sweep(ex.SweepConfig(field="random", seeds=2, **FAST))
+    assert err.value.partial_rows == []
 
 
 def test_best_fit_rotation_mode_runs():
@@ -143,11 +200,11 @@ def test_sweep_error_carries_partial_rows(monkeypatch):
     calls = {"n": 0}
     orig = ex._single_report
 
-    def boom(config, surface, h, spec, cache):
+    def boom(config, grid, eps, spec, cache):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise RuntimeError("synthetic failure")
-        return orig(config, surface, h, spec, cache)
+        return orig(config, grid, eps, spec, cache)
 
     monkeypatch.setattr(ex, "_single_report", boom)
     with pytest.raises(ex.SweepError, match="sweep failed at h=") as err:

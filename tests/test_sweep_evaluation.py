@@ -1,0 +1,78 @@
+"""Sweeps evaluate each report once and reproduce the recorded rows bit for bit.
+
+``data/sweep_rows_reference.json`` holds the rows of a small config matrix
+as ``repr`` strings, recorded with the sweep code that built one grid per
+battery seed and evaluated every field three times per report.  Sharing the
+grid and its cached geometry must not move a single bit.
+"""
+
+import dataclasses
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from shellrig import experiments as ex
+from shellrig import fields as fl
+from shellrig import geometry as geo
+from shellrig import inequality as ineq
+from shellrig import norms as nm
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "sweep_rows_reference.json").read_text())
+BASE = dict(num_h=4, h_min=1e-2, h_max=1e-1, nt=3, ntheta=12, nz=10, adaptive_theta=False, seeds=3)
+
+
+def _config_of(key: str):
+    kind, field, *modes = key.split()
+    if kind == "korn":
+        return ex.korn_sweep, ex.SweepConfig(field=field, **BASE)
+    rotation, offset = modes
+    return ex.run_sweep, ex.SweepConfig(field=field, rotation_mode=rotation, offset_mode=offset, **BASE)
+
+
+def test_reference_covers_the_matrix():
+    fields = ("identity", "rigid:1", "random:3", "ansatz", "random")
+    keys = {f"sweep {f} {r} {o}" for f in fields for r in ("identity", "best-fit") for o in ("mean", "zero")}
+    assert set(REFERENCE) == keys | {"korn ansatz", "korn random"}
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE))
+def test_rows_are_bit_identical(key):
+    sweep, config = _config_of(key)
+    rows = sweep(config).rows
+    assert [{k: repr(v) for k, v in row.items()} for row in rows] == REFERENCE[key]
+
+
+@pytest.mark.parametrize(
+    "sweep, report", [(ex.run_sweep, "interpolation_sides"), (ex.korn_sweep, "korn_linear_sides")]
+)
+def test_each_report_evaluates_its_field_once(monkeypatch, sweep, report):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    random_field = fl.random_smooth_field
+
+    def counted_field(*args, **kwargs):
+        f = random_field(*args, **kwargs)
+        return dataclasses.replace(
+            f, components=counted("components", f.components), partials=counted("partials", f.partials)
+        )
+
+    monkeypatch.setattr(fl, "random_smooth_field", counted_field)
+    monkeypatch.setattr(nm, "build_grid", counted("build_grid", nm.build_grid))
+    monkeypatch.setattr(geo.ParamSurface, "frame", counted("frame", geo.ParamSurface.frame))
+    monkeypatch.setattr(ineq, report, counted("reports", getattr(ineq, report)))
+
+    res = sweep(ex.SweepConfig(field="random", num_h=4, seeds=3, h_min=1e-2, h_max=1e-1,
+                               nt=4, ntheta=8, nz=8))
+    assert len(res.rows) == 4
+    # 3 seeds x 4 h: one field evaluation per report, one grid and one
+    # frame evaluation (on the (theta, z) nodes) per h
+    assert counts == {"reports": 12, "components": 12, "partials": 12, "build_grid": 4, "frame": 4}
