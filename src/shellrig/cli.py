@@ -12,6 +12,7 @@ Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -57,23 +58,29 @@ def _prepare_outdir(out: Path, force: bool) -> Path:
     return out
 
 
-def _write_config_echo(out: Path, echo: dict) -> None:
-    with open(out / "config.json", "w") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True, default=str)
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_verdicts(out: Path, verdicts: dict) -> int:
-    lines = []
-    status = 0
-    for name, (ok, detail) in verdicts.items():
-        lines.append(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        if not ok:
-            status = 1
-    (out / "verdict.txt").write_text("\n".join(lines) + "\n")
+def _finish(out: Path | None, verdicts: dict, echo: dict, table: tuple, summary: tuple) -> int:
+    """Write the four artifacts into the prepared directory ``out`` and print the verdicts.
+
+    ``table`` is (CSV name, rows, header) and ``summary`` (JSON name, dict).
+    With ``out`` None only the verdicts are printed.  Returns the exit
+    status: 1 if a verdict failed, else 0.
+    """
+    lines = [f"{name}: {'PASS' if ok else 'FAIL'} ({detail})" for name, (ok, detail) in verdicts.items()]
+    if out is not None:
+        _write_json(out / "config.json", echo)
+        csv_name, rows, header = table
+        ex.write_rows_csv(out / csv_name, rows, header=header)
+        _write_json(out / summary[0], summary[1])
+        (out / "verdict.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    return status
+    return 0 if all(ok for ok, _ in verdicts.values()) else 1
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -104,30 +111,9 @@ def _merge_config(defaults: dict, file_vals: dict, explicit: dict, known: set) -
 # -- sweep family -----------------------------------------------------------------
 
 
-_SWEEP_DEFAULTS = dict(
-    surface="sphere",
-    profile="shell",
-    p=2.0,
-    h_min=1e-3,
-    h_max=1e-1,
-    num_h=9,
-    field="ansatz",
-    seeds=20,
-    eps_rule="h",
-    eps_value=1e-3,
-    amplitude=0.1,
-    modes=4,
-    rotation_mode="identity",
-    offset_mode="mean",
-    nt=8,
-    ntheta=64,
-    nz=64,
-    adaptive_theta=True,
-    gamma=0.5,
-    slope_tol=0.2,
-    r2_floor=0.9,
-    threads=1,
-)
+_SWEEP_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(ex.SweepConfig) if f.name != "surface_params"
+}
 
 
 def _add_sweep_flags(sp: argparse.ArgumentParser) -> None:
@@ -152,7 +138,6 @@ def _add_sweep_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ntheta", type=int)
     sp.add_argument("--nz", type=int)
     sp.add_argument("--no-adaptive-theta", dest="adaptive_theta", action="store_false", default=None)
-    sp.add_argument("--gamma", type=float)
     sp.add_argument("--slope-tol", dest="slope_tol", type=float)
     sp.add_argument("--threads", type=int)
     sp.add_argument("--out", help="output directory (default from $SHELLRIG_OUT)")
@@ -182,14 +167,14 @@ def _cmd_sweep(args, linearized: bool) -> int:
     try:
         result = ex.korn_sweep(cfg) if linearized else ex.run_sweep(cfg)
     except ex.SweepError as err:
-        _write_config_echo(out, echo)
-        ex.write_rows_csv(out / "sweep.csv", err.partial_rows)
-        ex.write_fit_json(out / "fit.json", None, {**echo, "failure": str(err)})
-        return _write_verdicts(out, {"sweep": (False, str(err))})
-    _write_config_echo(out, echo)
-    ex.write_rows_csv(out / "sweep.csv", result.rows)
-    ex.write_fit_json(out / "fit.json", result.fit, echo)
-    return _write_verdicts(out, result.verdicts)
+        return _finish(
+            out, {"sweep": (False, str(err))}, echo, ("sweep.csv", err.partial_rows, ex.CSV_HEADER),
+            ("fit.json", ex.fit_summary(None, {**echo, "failure": str(err)})),
+        )
+    return _finish(
+        out, result.verdicts, echo, ("sweep.csv", result.rows, ex.CSV_HEADER),
+        ("fit.json", ex.fit_summary(result.fit, echo)),
+    )
 
 
 # -- trace ------------------------------------------------------------------------
@@ -232,7 +217,6 @@ def _cmd_trace(args) -> int:
         }
         for tr in traces
     ]
-    header = list(rows[0].keys())
     summary = agg.to_dict()
     summary["partition"] = {
         "m_theta": dec.m_theta,
@@ -259,22 +243,14 @@ def _cmd_trace(args) -> int:
         "modes": args.modes,
         "grid": [args.nt, nth, nz],
     }
-    _write_config_echo(out, echo)
-    ex.write_rows_csv(out / "trace.csv", rows, header=header)
-    with open(out / "trace.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    ok = math.isfinite(agg.c_balance)
-    return _write_verdicts(
-        out,
-        {
-            "trace": (
-                ok,
-                f"c_balance={agg.c_balance:.4f}, c_poincare_max={agg.c_poincare_max:.4f}, "
-                f"c_rot_lb_min={agg.c_rot_lb_min:.4f} over {dec.count} patches",
-            )
-        },
-    )
+    verdicts = {
+        "trace": (
+            math.isfinite(agg.c_balance),
+            f"c_balance={agg.c_balance:.4f}, c_poincare_max={agg.c_poincare_max:.4f}, "
+            f"c_rot_lb_min={agg.c_rot_lb_min:.4f} over {dec.count} patches",
+        )
+    }
+    return _finish(out, verdicts, echo, ("trace.csv", rows, list(rows[0])), ("trace.json", summary))
 
 
 # -- gradient check ----------------------------------------------------------------
@@ -323,28 +299,19 @@ def _cmd_check_gradient(args) -> int:
             f"[{min(orders):.3f}, {max(orders):.3f}]",
         )
     }
-    if args.out:
-        out = _prepare_outdir(args.out, args.force)
-        _write_config_echo(
-            out,
-            {
-                "subcommand": "check-gradient",
-                "step": args.step,
-                "points": args.points,
-                "tol": args.tol,
-                "h": args.h,
-                "seed": args.seed,
-                "modes": args.modes,
-            },
-        )
-        ex.write_rows_csv(out / "checks.csv", rows, header=list(rows[0].keys()))
-        with open(out / "gradient_check.json", "w") as fh:
-            json.dump({"max_err": worst, "orders": orders}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return _write_verdicts(out, verdict)
-    for name, (ok_, detail) in verdict.items():
-        print(f"{name}: {'PASS' if ok_ else 'FAIL'} ({detail})")
-    return 0 if ok else 1
+    echo = {
+        "subcommand": "check-gradient",
+        "step": args.step,
+        "points": args.points,
+        "tol": args.tol,
+        "h": args.h,
+        "seed": args.seed,
+        "modes": args.modes,
+    }
+    return _finish(
+        _prepare_outdir(args.out, args.force) if args.out else None, verdict, echo,
+        ("checks.csv", rows, list(rows[0])), ("gradient_check.json", {"max_err": worst, "orders": orders}),
+    )
 
 
 # -- rotation-distance selftest -------------------------------------------------------
@@ -381,32 +348,18 @@ def _cmd_dist_so3(args) -> int:
         f"max |(F - R) - dist| = {gap2[pos].max():.2e} on det>0 matrices",
     )
 
-    verdicts = checks
-    if args.out:
-        out = _prepare_outdir(args.out, args.force)
-        _write_config_echo(
-            out,
-            {
-                "subcommand": "dist-so3",
-                "matrices": args.matrices,
-                "rotations": args.rotations,
-                "seed": args.seed,
-            },
-        )
-        rows = [
-            {"check": name, "passed": int(ok), "detail": detail}
-            for name, (ok, detail) in checks.items()
-        ]
-        ex.write_rows_csv(out / "selftest.csv", rows, header=["check", "passed", "detail"])
-        with open(out / "selftest.json", "w") as fh:
-            json.dump({k: {"passed": ok, "detail": d} for k, (ok, d) in checks.items()}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return _write_verdicts(out, verdicts)
-    status = 0
-    for name, (ok, detail) in verdicts.items():
-        print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        status = status or (0 if ok else 1)
-    return status
+    echo = {
+        "subcommand": "dist-so3",
+        "matrices": args.matrices,
+        "rotations": args.rotations,
+        "seed": args.seed,
+    }
+    rows = [{"check": name, "passed": int(ok), "detail": detail} for name, (ok, detail) in checks.items()]
+    summary = {k: {"passed": ok, "detail": d} for k, (ok, d) in checks.items()}
+    return _finish(
+        _prepare_outdir(args.out, args.force) if args.out else None, checks, echo,
+        ("selftest.csv", rows, ["check", "passed", "detail"]), ("selftest.json", summary),
+    )
 
 
 # -- doubling ---------------------------------------------------------------------
@@ -451,33 +404,22 @@ def _cmd_doubling(args) -> int:
             f"[{args.r_min:g}, {args.r_max:g}]",
         )
     }
-    if args.out:
-        out = _prepare_outdir(args.out, args.force)
-        _write_config_echo(
-            out,
-            {
-                "subcommand": "doubling",
-                "surface": args.surface,
-                "surface_params": _surface_params(args),
-                "r_min": args.r_min,
-                "r_max": args.r_max,
-                "num_r": args.num_r,
-                "centers": args.centers,
-                "budget": args.budget,
-                "seed": args.seed,
-                "sigma_tol": args.sigma_tol,
-            },
-        )
-        ex.write_rows_csv(out / "doubling.csv", rows, header=list(rows[0].keys()))
-        with open(out / "doubling.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return _write_verdicts(out, verdicts)
-    status = 0
-    for name, (ok, detail) in verdicts.items():
-        print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        status = status or (0 if ok else 1)
-    return status
+    echo = {
+        "subcommand": "doubling",
+        "surface": args.surface,
+        "surface_params": _surface_params(args),
+        "r_min": args.r_min,
+        "r_max": args.r_max,
+        "num_r": args.num_r,
+        "centers": args.centers,
+        "budget": args.budget,
+        "seed": args.seed,
+        "sigma_tol": args.sigma_tol,
+    }
+    return _finish(
+        _prepare_outdir(args.out, args.force) if args.out else None, verdicts, echo,
+        ("doubling.csv", rows, list(rows[0])), ("doubling.json", summary),
+    )
 
 
 # -- show-config -------------------------------------------------------------------

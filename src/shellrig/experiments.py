@@ -13,7 +13,6 @@ output.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
@@ -110,7 +109,7 @@ class SweepConfig:
     h_min: float = 1e-3
     h_max: float = 1e-1
     num_h: int = 9
-    field: str = "ansatz"  # identity | rigid:<seed> | ansatz | random:<seed> | random (battery)
+    field: str = "ansatz"  # a spec of fields.FIELD_SPEC; bare "random" is the battery
     seeds: int = 20  # battery size when field == "random"
     eps_rule: str = "h"  # h | h2 | fixed
     eps_value: float = 1e-3  # used when eps_rule == "fixed"
@@ -122,9 +121,7 @@ class SweepConfig:
     ntheta: int = 64
     nz: int = 64
     adaptive_theta: bool = True
-    gamma: float = 0.5
     slope_tol: float = 0.2
-    r2_floor: float = 0.9
     threads: int = 1
 
     def validate(self) -> None:
@@ -134,6 +131,9 @@ class SweepConfig:
             raise ValueError("need 0 < h_min < h_max")
         if self.num_h < 4:
             raise ValueError("a sweep needs at least 4 thickness values to fit a slope")
+        fl.field_kind(self.field)
+        if self.seeds < 1:
+            raise ValueError("seeds must be >= 1")
         surf = geo.make_surface(self.surface, **self.surface_params)
         h0 = surf.h0()
         if self.h_max >= h0:
@@ -177,30 +177,28 @@ def _resolution_for(config: SweepConfig, domain: geo.ThinDomain) -> tuple[int, i
     return (config.nt, nth, config.nz)
 
 
-def _displacement(config: SweepConfig, grid: nm.QuadratureGrid, spec: str, profile_cache: dict):
-    surface = grid.domain.surface
-    name = spec.partition(":")[0]
-    if name == "ansatz":
-        prof = profile_cache.setdefault("ansatz", fl.default_ansatz_profile(surface))
-        return fl.ansatz_displacement(prof, surface, grid.domain.h)
-    if name == "user":
-        return fl.make_field(spec, surface, grid.domain.h, domain=grid.domain)
-    return fl.random_smooth_field(int(spec.partition(":")[2] or 0), config.amplitude, config.modes, surface)
+def _field(config: SweepConfig, grid: nm.QuadratureGrid, spec: str, profile: fl.AnsatzProfile):
+    domain = grid.domain
+    return fl.make_field(
+        spec, domain.surface, domain.h, amplitude=config.amplitude, modes=config.modes,
+        profile=profile, domain=domain,
+    )
 
 
 def _single_report(
-    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile_cache: dict
+    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile: fl.AnsatzProfile
 ):
-    """One interpolation report of one field on a grid shared by the battery."""
-    surface = grid.domain.surface
-    name = field_spec.partition(":")[0]
-    if name in ("identity", "rigid"):
-        y = fl.make_field(field_spec, surface, grid.domain.h)
-        rot, off = _rigid_params(field_spec) if name == "rigid" else (np.eye(3), np.zeros(3))
-    else:
-        u = _displacement(config, grid, field_spec, profile_cache)
-        y = fl.displacement_to_deformation(surface, u, eps)
+    """One interpolation report of one field on a grid shared by the battery.
+
+    A rigid motion (identity included) is compared against itself; a
+    displacement u enters as x + eps*u.
+    """
+    y = _field(config, grid, field_spec, profile)
+    if y.kind == "displacement":
+        y = fl.displacement_to_deformation(grid.domain.surface, y, eps)
         rot, off = np.eye(3), ("mean" if config.offset_mode == "mean" else np.zeros(3))
+    else:
+        rot, off = y.motion
     if config.rotation_mode == "best-fit":
         rot = "best-fit"
     return ineq.interpolation_sides(
@@ -210,21 +208,13 @@ def _single_report(
 
 
 def _korn_report(
-    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile_cache: dict
+    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile: fl.AnsatzProfile
 ):
     """One linearized report of one displacement on a grid shared by the battery."""
-    u = _displacement(config, grid, field_spec, profile_cache)
     return ineq.korn_linear_sides(
-        u, grid.domain, grid, config.p,
+        _field(config, grid, field_spec, profile), grid.domain, grid, config.p,
         meta={"epsilon": eps, "field": field_spec, "grid": grid.resolution},
     )
-
-
-def _rigid_params(spec: str):
-    from .matrixops import random_rotation
-
-    rng = np.random.default_rng(int(spec.partition(":")[2] or 0))
-    return random_rotation(rng), rng.normal(size=3)
 
 
 def _row_from(rep, resolution, h, eps) -> dict:
@@ -284,13 +274,13 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
     surface = geo.make_surface(config.surface, **config.surface_params)
     battery = config.field == "random"
     specs = [f"random:{seed}" for seed in range(config.seeds)] if battery else [config.field]
-    profile_cache: dict = {}
+    profile = fl.default_ansatz_profile(surface)
 
     def work(h: float):
         domain = geo.ThinDomain(surface, geo.make_profile(config.profile, h, surface))
         grid = nm.build_grid(domain, _resolution_for(config, domain))
         eps = epsilon(h)
-        reps = [report(config, grid, eps, spec, profile_cache) for spec in specs]
+        reps = [report(config, grid, eps, spec, profile) for spec in specs]
         if not battery:
             return h, eps, reps[0], grid.resolution
         finite = [rep for rep in reps if math.isfinite(rep.ratio)]
@@ -342,8 +332,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 def korn_sweep(config: SweepConfig) -> SweepResult:
     """Sweep of the linearized sides; fields must be displacements."""
-    name = config.field.partition(":")[0]
-    if name in ("identity", "rigid"):
+    if fl.field_kind(config.field) != "displacement":
         raise ValueError("the linearized sweep needs a displacement field (ansatz or random)")
     rows, reports = _sweep(config, _korn_report, lambda h: 0.0)
 
@@ -386,14 +375,12 @@ def write_rows_csv(path, rows, header=CSV_HEADER) -> None:
             )
 
 
-def write_fit_json(path, fit: ScalingFit | None, config_echo: dict) -> None:
-    payload = {
+def fit_summary(fit: ScalingFit | None, config_echo: dict) -> dict:
+    """The fit.json payload: the fitted slope and intercept (None when not fitted) and the config echo."""
+    return {
         "alpha_hat": None if fit is None else fit.alpha_hat,
         "intercept": None if fit is None else fit.intercept,
         "r2": None if fit is None else fit.r2,
         "max_residual": None if fit is None else fit.max_residual,
         "config_echo": config_echo,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

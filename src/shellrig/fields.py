@@ -13,6 +13,7 @@ is deterministic, so parallel sweeps are reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -27,6 +28,7 @@ from .geometry import (
     chart_coefficients,
     embed,
 )
+from .matrixops import random_rotation
 
 Array = np.ndarray
 
@@ -45,7 +47,8 @@ class FrameField:
     compared against rotations) or "displacement" (compared against zero).
     ``displacement`` is (u, eps) when the field is the deformation x + eps*u
     (``displacement_to_deformation``); grid evaluation then reads the map
-    x -> x from the grid's cache and evaluates only u.
+    x -> x from the grid's cache and evaluates only u.  ``motion`` is (Q, c)
+    when the field is exactly the rigid motion x -> Q x + c.
     """
 
     components: Callable
@@ -53,6 +56,7 @@ class FrameField:
     kind: str
     description: str = ""
     displacement: tuple | None = None
+    motion: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("deformation", "displacement"):
@@ -198,7 +202,9 @@ def identity_deformation(surface: ParamSurface) -> FrameField:
         nodes = surface.nodes(theta, z)
         return nodes.identity_partials(t, nodes.point(t))
 
-    return FrameField(comp, par, kind="deformation", description="identity")
+    return FrameField(
+        comp, par, kind="deformation", description="identity", motion=(np.eye(3), np.zeros(3))
+    )
 
 
 def transform_rigid(
@@ -244,7 +250,7 @@ def transform_rigid(
 def rigid_deformation(surface: ParamSurface, rotation: Array, offset: Array) -> FrameField:
     """The rigid motion x -> Q x + c in frame components."""
     f = transform_rigid(identity_deformation(surface), surface, rotation, offset)
-    return replace(f, description="rigid-motion")
+    return replace(f, description="rigid-motion", motion=(rotation, offset))
 
 
 def displacement_to_deformation(
@@ -566,6 +572,24 @@ def sampled_displacement(path, domain: ThinDomain, fd_step: float = 1e-5) -> Fra
     return FrameField(comp, par, kind="displacement", description=f"sampled({path})")
 
 
+FIELD_SPEC = re.compile(r"identity|ansatz|(rigid|random)(:[0-9]*)?|user:.+")
+
+
+def field_kind(spec: str) -> str:
+    """Kind of the field ``make_field(spec)`` builds; raises ValueError on a malformed spec.
+
+    The grammar is ``FIELD_SPEC``: identity | rigid:<seed> | ansatz |
+    random:<seed> | user:<csv>, where a seed is a nonnegative decimal integer
+    and an omitted seed means 0.
+    """
+    if not FIELD_SPEC.fullmatch(spec):
+        raise ValueError(
+            f"unknown field spec {spec!r} "
+            "(expected identity, rigid:<seed>, ansatz, random:<seed> or user:<csv>)"
+        )
+    return "deformation" if spec.partition(":")[0] in ("identity", "rigid") else "displacement"
+
+
 def make_field(
     spec: str,
     surface: ParamSurface,
@@ -575,26 +599,23 @@ def make_field(
     profile: AnsatzProfile | None = None,
     domain: ThinDomain | None = None,
 ) -> FrameField:
-    """Field registry: identity | rigid:<seed> | ansatz | random:<seed> | user:<csv>."""
+    """Field registry: the one place a spec string becomes a field (grammar: ``field_kind``).
+
+    ``rigid:<seed>`` draws its rotation and offset from the seed; the field
+    carries them as ``motion``.
+    """
+    field_kind(spec)
     name, _, arg = spec.partition(":")
     if name == "identity":
         return identity_deformation(surface)
     if name == "rigid":
-        from .matrixops import random_rotation
-
         rng = np.random.default_rng(int(arg or 0))
-        q = random_rotation(rng)
-        c = rng.normal(size=3)
-        return rigid_deformation(surface, q, c)
+        return rigid_deformation(surface, random_rotation(rng), rng.normal(size=3))
     if name == "ansatz":
         prof = profile or default_ansatz_profile(surface)
         return ansatz_displacement(prof, surface, h)
     if name == "random":
         return random_smooth_field(int(arg or 0), amplitude, modes, surface)
-    if name == "user":
-        if domain is None:
-            raise ValueError("a sampled user field needs the thin domain for normalization")
-        if not arg:
-            raise ValueError("user field spec must carry a CSV path, e.g. user:field.csv")
-        return sampled_displacement(arg, domain)
-    raise ValueError(f"unknown field spec {spec!r}")
+    if domain is None:
+        raise ValueError("a sampled user field needs the thin domain for normalization")
+    return sampled_displacement(arg, domain)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import FrameField, frame_gradient, gradient_from_partials, on_grid
+from .fields import FrameField, gradient_from_partials, on_grid
+from .fields import frame_gradient  # noqa: F401  (tools bind inequality.frame_gradient)
 from .geometry import ThinDomain, embed  # noqa: F401  (re-exported: tools bind inequality.embed)
 from .matrixops import dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, lp_norm, weighted_mean
@@ -221,11 +222,10 @@ def balance_form(
     """Evaluate the balance terms of a displacement at exponent s in [0, 2]."""
     if not 0.0 <= s <= 2.0:
         raise ValueError("balance exponent s must lie in [0, 2]")
-    t, th, zz = grid.mesh()
-    g = frame_gradient(v, domain.surface, t, th, zz)
-    eye = np.eye(3)
-    dist_norm = lp_norm(dist_SO3(g + eye), grid, p)
-    field_norm = lp_norm(v.components(t, th, zz), grid, p)
+    comp, par = on_grid(v, grid)
+    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
+    dist_norm = lp_norm(dist_SO3(g + np.eye(3)), grid, p)
+    field_norm = lp_norm(comp, grid, p)
     h = domain.h
     return BalanceForm(
         s=float(s),

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import FrameField, frame_gradient
-from .geometry import ProfileError, ThicknessProfile, ThinDomain, embed
+from .fields import FrameField, gradient_from_partials, on_grid
+from .fields import frame_gradient  # noqa: F401  (tools bind localization.frame_gradient)
+from .geometry import ProfileError, ThicknessProfile, ThinDomain
+from .geometry import embed  # noqa: F401  (tools bind localization.embed)
 from .matrixops import dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, build_grid, lp_norm
 
@@ -203,6 +205,18 @@ class TraceAggregate:
         }
 
 
+def _euclidean_on(v: FrameField, grid: QuadratureGrid) -> tuple[Array, Array]:
+    """Frame components of v and the Euclidean gradient E (grad v + I) E^T on every grid node.
+
+    The gradient is conjugated back to the fixed Euclidean basis because the
+    frame varies over a patch, so a constant rotation can only be fitted there.
+    """
+    comp, par = on_grid(v, grid)
+    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs) + np.eye(3)
+    e = grid.nodes.frame
+    return comp, np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+
+
 def patch_trace(
     v: FrameField,
     decomposition: PatchDecomposition,
@@ -226,19 +240,12 @@ def patch_trace(
         )
     ids = decomposition.cell_ids(grid)
     w = grid.weights
-    t, th, zz = grid.mesh()
-    surface = domain.surface
-
-    g = frame_gradient(v, surface, t, th, zz) + np.eye(3)
-    e = np.broadcast_to(surface.frame(th, zz), g.shape)
-    # work in the fixed Euclidean representation: the frame varies over a patch,
-    # so fitting a constant rotation must happen after conjugating back
-    ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+    comp, ge = _euclidean_on(v, grid)
     mean_g, tot = _group_mean_mat(ids, w, ge, n)
     rot = nearest_rotation(mean_g, warn_degenerate=False)
 
-    x_e = embed(domain, t, th, zz, check=False)
-    v_e = np.einsum("...ij,...j->...i", e, v.components(t, th, zz))
+    x_e = grid.nodes.point(grid.t)
+    v_e = np.einsum("...ij,...j->...i", grid.nodes.frame, comp)
     rot_nodes = rot[ids]
     imr_x = x_e - np.einsum("...ij,...j->...i", rot_nodes, x_e)
     b = _group_mean_vec(ids, w, v_e + imr_x, n, tot)
@@ -322,8 +329,6 @@ def rotation_lower_bound_check(
     flagged.
     """
     r = np.asarray(rotation, dtype=float)
-    domain = grid.domain
-    t, th, zz = grid.mesh()
     mask = (
         (grid.theta >= rect[0]) & (grid.theta <= rect[1])
     )[None, :, None] & ((grid.z >= rect[2]) & (grid.z <= rect[3]))[None, None, :]
@@ -333,7 +338,7 @@ def rotation_lower_bound_check(
     if vol <= 0:
         raise ValueError("patch rectangle contains no grid nodes")
 
-    x_e = embed(domain, t, th, zz, check=False)
+    x_e = grid.nodes.point(grid.t)
     imr_x = x_e - np.einsum("ij,...j->...i", r, x_e)
     if offset is None:
         b = np.einsum("tij,tij...->...", w, imr_x) / vol
@@ -444,10 +449,7 @@ def shell_to_domain_trace(
     out_patches = []
 
     def _norms_on(grd):
-        t, th, zz = grd.mesh()
-        g = frame_gradient(v, surface, t, th, zz) + np.eye(3)
-        e = np.broadcast_to(surface.frame(th, zz), g.shape)
-        ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+        _, ge = _euclidean_on(v, grd)
         dist = dist_SO3(ge)
         grad = np.linalg.norm(ge - np.eye(3), axis=(-2, -1))
         return ge, dist, grad

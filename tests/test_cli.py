@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from shellrig import cli
+from shellrig import experiments as ex
 
 FAST_SWEEP = [
     "--num-h", "4", "--h-min", "1e-2", "--nt", "4", "--ntheta", "32", "--nz", "24",
@@ -18,6 +21,38 @@ def test_show_config_prints_defaults(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["sweep"]["p"] == 2.0
     assert data["sweep"]["field"] == "ansatz"
+
+
+def test_sweep_keys_are_the_sweep_config_fields(tmp_path, capsys):
+    assert run(["show-config"]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    defaults = {f.name: f.default for f in dataclasses.fields(ex.SweepConfig) if f.name != "surface_params"}
+    assert shown == {"sweep": defaults, "korn-sweep": defaults}
+    assert not {"gamma", "r2_floor"} & set(defaults)
+    # every key has a sweep flag and is accepted from a config file
+    assert set(defaults) <= set(vars(cli.build_parser().parse_args(["sweep"])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(defaults))
+    out = tmp_path / "run"
+    assert run(["sweep", "--config", str(cfg), *FAST_SWEEP, "--out", str(out)]) == 0
+    echo = json.loads((out / "config.json").read_text())
+    assert set(echo) == set(defaults) | {"surface_params", "subcommand"}
+
+
+@pytest.mark.parametrize("subcommand", ["sweep", "korn-sweep"])
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--field", "vortex"], "'vortex'"),
+        (["--field", "random:x"], "'random:x'"),
+        (["--field", "random", "--seeds", "0"], "seeds"),
+    ],
+)
+def test_bad_field_spec_is_a_usage_error(tmp_path, capsys, subcommand, argv, named):
+    out = tmp_path / "run"
+    assert run([subcommand, *FAST_SWEEP, *argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_writes_exactly_four_files(tmp_path):

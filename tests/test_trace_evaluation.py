@@ -1,0 +1,139 @@
+"""Localization traces read the grid's cache and reproduce the recorded numbers bit for bit.
+
+``data/trace_reference.json`` holds, as ``repr`` strings, the ``trace.json``
+of three small traces and the values of ``balance_form`` and
+``rotation_lower_bound_check`` on four surfaces and both profiles, recorded
+with the code that evaluated these on the full 3-d mesh (frame on every
+node, field components twice per patch trace).  Evaluating them on the
+(theta, z) nodes of the grid's cache must not move a single bit.
+"""
+
+import dataclasses
+import json
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from shellrig import cli
+from shellrig import fields as fl
+from shellrig import geometry as geo
+from shellrig import inequality as ineq
+from shellrig import localization as loc
+from shellrig import matrixops as mo
+from shellrig import norms as nm
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "trace_reference.json").read_text())
+TRACE = ["trace", "--surface", "sphere", "--h", "3e-2", "--amplitude", "1e-3", "--nt", "2", "--ntheta", "16", "--nz", "16"]
+TRACES = {
+    "trace shell random:1": ["--profile", "shell", "--field", "random:1"],
+    "trace bump random:2": ["--profile", "bump", "--field", "random:2"],
+    "trace bump ansatz": ["--profile", "bump", "--field", "ansatz"],
+}
+SURFACES = ("plate", "cylinder", "sphere", "pseudosphere")
+PROFILES = ("shell", "bump")
+
+
+def _reprs(obj):
+    if isinstance(obj, dict):
+        return {k: _reprs(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_reprs(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return repr(obj)
+
+
+def test_reference_covers_the_matrix():
+    keys = set(TRACES)
+    for name in SURFACES:
+        for prof in PROFILES:
+            keys |= {f"balance_form {name} {prof}", f"rotation_lower_bound_check {name} {prof}",
+                     f"rotation_lower_bound_check {name} {prof} fixed offset"}
+    assert set(REFERENCE) == keys
+
+
+@pytest.mark.parametrize("key", sorted(TRACES))
+def test_trace_json_is_bit_identical(tmp_path, key):
+    assert cli.main([*TRACE, *TRACES[key], "--out", str(tmp_path)]) == 0
+    assert _reprs(json.loads((tmp_path / "trace.json").read_text())) == REFERENCE[key]
+
+
+@pytest.mark.parametrize("name", SURFACES)
+@pytest.mark.parametrize("prof", PROFILES)
+def test_balance_and_rotation_bound_are_bit_identical(name, prof):
+    s = geo.make_surface(name)
+    h = 2e-2
+    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(prof, h, s)), (3, 12, 10))
+    bal = ineq.balance_form(fl.random_smooth_field(6, 0.2, 4, s), grid.domain, grid, 2.0, 0.7)
+    assert _reprs({k: getattr(bal, k) for k in ("field_norm", "dist_norm", "term_field", "term_dist")}) == (
+        REFERENCE[f"balance_form {name} {prof}"]
+    )
+    q = mo.random_rotation(np.random.default_rng(3))
+    t0, t1, z0, z1 = s.domain
+    rect = (t0, 0.5 * (t0 + t1), z0, z1)
+    rec = loc.rotation_lower_bound_check(q, None, rect, grid, 2.0, h**0.5)
+    assert _reprs({k: rec[k] for k in ("lhs", "rhs", "constant", "offset", "volume")}) == (
+        REFERENCE[f"rotation_lower_bound_check {name} {prof}"]
+    )
+    rec = loc.rotation_lower_bound_check(q, np.array([0.1, -0.2, 0.3]), rect, grid, 3.0, 1.0)
+    assert _reprs({k: rec[k] for k in ("lhs", "rhs", "constant", "volume")}) == (
+        REFERENCE[f"rotation_lower_bound_check {name} {prof} fixed offset"]
+    )
+
+
+def test_bump_trace_evaluates_each_grid_once(monkeypatch, tmp_path):
+    calls = Counter()  # (traced function, field callable, grid's t) -> calls
+    frames = []
+    phase = ["cli"]
+
+    def in_phase(name, fn):
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "cli"
+
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(t, theta, z):
+            calls[phase[0], name, id(t)] += 1
+            return fn(t, theta, z)
+
+        return wrapper
+
+    random_field = fl.random_smooth_field
+
+    def counted_field(*args, **kwargs):
+        f = random_field(*args, **kwargs)
+        return dataclasses.replace(
+            f, components=counted("components", f.components), partials=counted("partials", f.partials)
+        )
+
+    frame = geo.ParamSurface.frame
+
+    def recorded_frame(self, theta, z):
+        frames.append(np.broadcast(theta, z).shape)
+        return frame(self, theta, z)
+
+    monkeypatch.setattr(fl, "random_smooth_field", counted_field)
+    monkeypatch.setattr(geo.ParamSurface, "frame", recorded_frame)
+    for name in ("patch_trace", "shell_to_domain_trace"):
+        monkeypatch.setattr(loc, name, in_phase(name, getattr(loc, name)))
+
+    assert cli.main([*TRACE, *TRACES["trace bump random:2"], "--out", str(tmp_path)]) == 0
+    nt, nth, nz = json.loads((tmp_path / "config.json").read_text())["grid"]
+    # patch_trace reads its grid once; the passage reads the domain grid and
+    # the core-shell grid once each; the frame is evaluated once per grid,
+    # on the (theta, z) nodes only
+    assert set(calls.values()) == {1}
+    assert Counter((ph, name) for ph, name, _ in calls) == {
+        ("patch_trace", "components"): 1,
+        ("patch_trace", "partials"): 1,
+        ("shell_to_domain_trace", "components"): 2,
+        ("shell_to_domain_trace", "partials"): 2,
+    }
+    assert frames == [(nth, nz), (nth, nz)]
