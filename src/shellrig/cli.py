@@ -24,7 +24,6 @@ import numpy as np
 from . import experiments as ex
 from . import fields as fl
 from . import geometry as geo
-from . import inequality as ineq
 from . import localization as loc
 from . import matrixops as mo
 from . import norms as nm
@@ -51,10 +50,10 @@ def _surface_params(args) -> dict:
 
 
 def _prepare_outdir(out: Path, force: bool) -> Path:
+    """Refuse a non-empty ``out`` without ``force``; ``_finish`` creates the directory."""
     out = Path(out)
     if out.exists() and any(out.iterdir()) and not force:
         raise UsageError(f"output directory {out} is not empty; pass --force to overwrite")
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -65,7 +64,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _finish(out: Path | None, verdicts: dict, echo: dict, table: tuple, summary: tuple) -> int:
-    """Write the four artifacts into the prepared directory ``out`` and print the verdicts.
+    """Write the four artifacts into the directory ``out`` and print the verdicts.
 
     ``table`` is (CSV name, rows, header) and ``summary`` (JSON name, dict).
     With ``out`` None only the verdicts are printed.  Returns the exit
@@ -73,6 +72,7 @@ def _finish(out: Path | None, verdicts: dict, echo: dict, table: tuple, summary:
     """
     lines = [f"{name}: {'PASS' if ok else 'FAIL'} ({detail})" for name, (ok, detail) in verdicts.items()]
     if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config.json", echo)
         csv_name, rows, header = table
         ex.write_rows_csv(out / csv_name, rows, header=header)
@@ -118,22 +118,22 @@ _SWEEP_DEFAULTS = {
 
 def _add_sweep_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file; explicit flags override it")
-    sp.add_argument("--surface", choices=["plate", "cylinder", "sphere", "pseudosphere"])
+    sp.add_argument("--surface", choices=geo.SURFACES)
     sp.add_argument("--radius", type=float, help="sphere/cylinder radius")
     sp.add_argument("--waist", type=float, help="pseudosphere waist radius")
-    sp.add_argument("--profile", choices=["shell", "bump"])
+    sp.add_argument("--profile", choices=geo.PROFILES)
     sp.add_argument("--p", type=float, help="norm exponent, 1 < p < inf")
     sp.add_argument("--h-min", dest="h_min", type=float)
     sp.add_argument("--h-max", dest="h_max", type=float)
     sp.add_argument("--num-h", dest="num_h", type=int)
     sp.add_argument("--field", help="identity | rigid:<seed> | ansatz | random:<seed> | random")
     sp.add_argument("--seeds", type=int, help="battery size for --field random")
-    sp.add_argument("--eps-rule", dest="eps_rule", choices=["h", "h2", "fixed"])
+    sp.add_argument("--eps-rule", dest="eps_rule", choices=ex.EPS_RULES)
     sp.add_argument("--eps-value", dest="eps_value", type=float)
     sp.add_argument("--amplitude", type=float)
     sp.add_argument("--modes", type=int)
-    sp.add_argument("--rotation-mode", dest="rotation_mode", choices=["identity", "best-fit"])
-    sp.add_argument("--offset-mode", dest="offset_mode", choices=["mean", "zero"])
+    sp.add_argument("--rotation-mode", dest="rotation_mode", choices=ex.ROTATION_MODES)
+    sp.add_argument("--offset-mode", dest="offset_mode", choices=ex.OFFSET_MODES)
     sp.add_argument("--nt", type=int)
     sp.add_argument("--ntheta", type=int)
     sp.add_argument("--nz", type=int)
@@ -217,7 +217,7 @@ def _cmd_trace(args) -> int:
         }
         for tr in traces
     ]
-    summary = agg.to_dict()
+    summary = dataclasses.asdict(agg)
     summary["partition"] = {
         "m_theta": dec.m_theta,
         "m_z": dec.m_z,
@@ -227,7 +227,10 @@ def _cmd_trace(args) -> int:
     }
     if args.profile == "bump":
         sdt = loc.shell_to_domain_trace(u, domain, grid, args.p)
-        summary["shell_to_domain"] = sdt.to_dict()
+        # not asdict: it would deep-copy the per_patch list, which trace.json leaves out
+        summary["shell_to_domain"] = {
+            f.name: getattr(sdt, f.name) for f in dataclasses.fields(sdt) if f.name != "per_patch"
+        }
 
     out = _prepare_outdir(args.out or _default_outdir("trace"), args.force)
     echo = {
@@ -261,7 +264,7 @@ def _cmd_check_gradient(args) -> int:
     rows = []
     worst = 0.0
     orders = []
-    for name in ("plate", "cylinder", "sphere", "pseudosphere"):
+    for name in geo.SURFACES:
         surface = geo.make_surface(name)
         domain = geo.ThinDomain(surface, geo.shell_profile(args.h))
         t0, t1, z0, z1 = surface.domain
@@ -449,10 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=lambda a: _cmd_sweep(a, linearized=True))
 
     sp = sub.add_parser("trace", help="patchwise localization audit at one h")
-    sp.add_argument("--surface", default="sphere", choices=["plate", "cylinder", "sphere", "pseudosphere"])
+    sp.add_argument("--surface", default="sphere", choices=geo.SURFACES)
     sp.add_argument("--radius", type=float)
     sp.add_argument("--waist", type=float)
-    sp.add_argument("--profile", default="shell", choices=["shell", "bump"])
+    sp.add_argument("--profile", default="shell", choices=geo.PROFILES)
     sp.add_argument("--h", type=float, default=1e-2)
     sp.add_argument("--gamma", type=float, default=0.5)
     sp.add_argument("--p", type=float, default=2.0)
@@ -487,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_dist_so3)
 
     sp = sub.add_parser("doubling", help="two-ball surface measure ratios")
-    sp.add_argument("--surface", default="sphere", choices=["plate", "cylinder", "sphere", "pseudosphere"])
+    sp.add_argument("--surface", default="sphere", choices=geo.SURFACES)
     sp.add_argument("--radius", type=float)
     sp.add_argument("--waist", type=float)
     sp.add_argument("--r-min", dest="r_min", type=float, default=0.01)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import MISSING, dataclass, field as dc_field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -61,15 +62,6 @@ class ScalingFit:
     r2: float
     max_residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "max_residual": self.max_residual,
-            "pairs": [list(pq) for pq in self.pairs],
-        }
-
 
 def fit_exponent(pairs) -> ScalingFit:
     """Ordinary least squares of log(value) on log(h).
@@ -98,6 +90,11 @@ def fit_exponent(pairs) -> ScalingFit:
     )
 
 
+EPS_RULES = ("h", "h2", "fixed")  # read by SweepConfig.epsilon
+ROTATION_MODES = ("identity", "best-fit")  # read by _single_report
+OFFSET_MODES = ("mean", "zero")  # read by _single_report
+
+
 @dataclass
 class SweepConfig:
     """Everything needed to reproduce one sweep bit for bit."""
@@ -111,12 +108,12 @@ class SweepConfig:
     num_h: int = 9
     field: str = "ansatz"  # a spec of fields.FIELD_SPEC; bare "random" is the battery
     seeds: int = 20  # battery size when field == "random"
-    eps_rule: str = "h"  # h | h2 | fixed
+    eps_rule: str = "h"  # one of EPS_RULES
     eps_value: float = 1e-3  # used when eps_rule == "fixed"
     amplitude: float = 0.1
     modes: int = 4
-    rotation_mode: str = "identity"  # identity | best-fit
-    offset_mode: str = "mean"  # mean | zero
+    rotation_mode: str = "identity"  # one of ROTATION_MODES
+    offset_mode: str = "mean"  # one of OFFSET_MODES
     nt: int = 8
     ntheta: int = 64
     nz: int = 64
@@ -125,6 +122,24 @@ class SweepConfig:
     threads: int = 1
 
     def validate(self) -> None:
+        """Refuse a config no sweep can run, before anything is computed or written.
+
+        Every key must have its default's type (an int passes for a float,
+        a bool only for a bool), and a named key must be one of its choices.
+        """
+        choices = {
+            "surface": geo.SURFACES, "profile": geo.PROFILES, "eps_rule": EPS_RULES,
+            "rotation_mode": ROTATION_MODES, "offset_mode": OFFSET_MODES,
+        }
+        for f in fields(self):
+            if f.default is MISSING:  # surface_params, set from flags only
+                continue
+            value, kind = getattr(self, f.name), type(f.default)
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+                raise ValueError(f"{f.name} must be of type {kind.__name__}, not {value!r}")
+            if f.name in choices and value not in choices[f.name]:
+                raise ValueError(f"{f.name} must be one of {', '.join(choices[f.name])}, not {value!r}")
         if not (1.0 < self.p < math.inf):
             raise ValueError("p must satisfy 1 < p < infinity")
         if not (0 < self.h_min < self.h_max):
@@ -132,14 +147,18 @@ class SweepConfig:
         if self.num_h < 4:
             raise ValueError("a sweep needs at least 4 thickness values to fit a slope")
         fl.field_kind(self.field)
+        if self.field.startswith("user:") and not Path(self.field[5:]).is_file():
+            raise ValueError(f"no such file for the field {self.field!r}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        if self.amplitude < 0:
+            raise ValueError("amplitude must be >= 0")
+        if self.modes < 1:
+            raise ValueError("modes must be >= 1")
         surf = geo.make_surface(self.surface, **self.surface_params)
         h0 = surf.h0()
         if self.h_max >= h0:
             raise ValueError(f"h_max={self.h_max:g} must stay below the chart bound h0={h0:g}")
-        if self.eps_rule not in ("h", "h2", "fixed"):
-            raise ValueError("eps_rule must be one of: h, h2, fixed")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -152,9 +171,6 @@ class SweepConfig:
         if self.eps_rule == "h2":
             return float(h * h)
         return float(self.eps_value)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -333,7 +349,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 def korn_sweep(config: SweepConfig) -> SweepResult:
     """Sweep of the linearized sides; fields must be displacements."""
     if fl.field_kind(config.field) != "displacement":
-        raise ValueError("the linearized sweep needs a displacement field (ansatz or random)")
+        raise ValueError(
+            f"the linearized sweep needs a displacement field (ansatz or random), not {config.field!r}"
+        )
     rows, reports = _sweep(config, _korn_report, lambda h: 0.0)
 
     verdicts = {}

@@ -141,13 +141,6 @@ class ParamSurface:
     def z_span(self) -> tuple[float, float]:
         return self.domain[2], self.domain[3]
 
-    def contains(self, theta, z, tol: float = 1e-12) -> Array:
-        t0, t1, z0, z1 = self.domain
-        theta, z = _arr(theta), _arr(z)
-        return (
-            (theta >= t0 - tol) & (theta <= t1 + tol) & (z >= z0 - tol) & (z <= z1 + tol)
-        )
-
     def require_inside(self, theta, z) -> None:
         t0, t1, z0, z1 = self.domain
         theta, z = _arr(theta), _arr(z)
@@ -261,27 +254,33 @@ def _validate_surface(s: ParamSurface, n: int = 21) -> ParamSurface:
 # -- built-in surfaces --------------------------------------------------------
 
 
+def _zero(theta, z) -> Array:
+    return np.zeros(np.broadcast(_arr(theta), _arr(z)).shape)
+
+
+def _one(theta, z) -> Array:
+    return np.ones(np.broadcast(_arr(theta), _arr(z)).shape)
+
+
 def plate(lx: float = 1.0, ly: float = 1.0) -> ParamSurface:
     """Flat patch [0, lx] x [0, ly] in the (x, y) plane, normal +z."""
-    zero = lambda theta, z: np.zeros(np.broadcast(_arr(theta), _arr(z)).shape)
-    one = lambda theta, z: np.ones(np.broadcast(_arr(theta), _arr(z)).shape)
     return _validate_surface(
         ParamSurface(
             name="plate",
             params={"lx": float(lx), "ly": float(ly)},
             domain=(0.0, float(lx), 0.0, float(ly)),
             position=lambda theta, z: _vec(theta, z, 0.0 * _arr(theta)),
-            tangent_theta=lambda theta, z: _vec(one(theta, z), 0.0 * _arr(z), 0.0 * _arr(z)),
-            tangent_z=lambda theta, z: _vec(0.0 * _arr(theta), one(theta, z), 0.0 * _arr(theta)),
-            normal=lambda theta, z: _vec(0.0 * _arr(theta), 0.0 * _arr(z), one(theta, z)),
-            a_theta=one,
-            a_z=one,
-            kappa_theta=zero,
-            kappa_z=zero,
-            da_theta_dtheta=zero,
-            da_theta_dz=zero,
-            da_z_dtheta=zero,
-            da_z_dz=zero,
+            tangent_theta=lambda theta, z: _vec(_one(theta, z), 0.0 * _arr(z), 0.0 * _arr(z)),
+            tangent_z=lambda theta, z: _vec(0.0 * _arr(theta), _one(theta, z), 0.0 * _arr(theta)),
+            normal=lambda theta, z: _vec(0.0 * _arr(theta), 0.0 * _arr(z), _one(theta, z)),
+            a_theta=_one,
+            a_z=_one,
+            kappa_theta=_zero,
+            kappa_z=_zero,
+            da_theta_dtheta=_zero,
+            da_theta_dz=_zero,
+            da_z_dtheta=_zero,
+            da_z_dz=_zero,
         )
     )
 
@@ -293,8 +292,6 @@ def cylinder(
 ) -> ParamSurface:
     """Circular cylinder of the given radius; theta is the azimuth, z the axis."""
     rho = float(radius)
-    zero = lambda theta, z: np.zeros(np.broadcast(_arr(theta), _arr(z)).shape)
-    one = lambda theta, z: np.ones(np.broadcast(_arr(theta), _arr(z)).shape)
     return _validate_surface(
         ParamSurface(
             name="cylinder",
@@ -306,16 +303,16 @@ def cylinder(
             tangent_theta=lambda theta, z: _vec(
                 -rho * np.sin(theta), rho * np.cos(theta), 0.0 * _arr(z)
             ),
-            tangent_z=lambda theta, z: _vec(0.0 * _arr(theta), 0.0 * _arr(z), one(theta, z)),
+            tangent_z=lambda theta, z: _vec(0.0 * _arr(theta), 0.0 * _arr(z), _one(theta, z)),
             normal=lambda theta, z: _vec(np.cos(theta), np.sin(theta), 0.0 * _arr(z)),
-            a_theta=lambda theta, z: rho * one(theta, z),
-            a_z=one,
-            kappa_theta=lambda theta, z: (1.0 / rho) * one(theta, z),
-            kappa_z=zero,
-            da_theta_dtheta=zero,
-            da_theta_dz=zero,
-            da_z_dtheta=zero,
-            da_z_dz=zero,
+            a_theta=lambda theta, z: rho * _one(theta, z),
+            a_z=_one,
+            kappa_theta=lambda theta, z: (1.0 / rho) * _one(theta, z),
+            kappa_z=_zero,
+            da_theta_dtheta=_zero,
+            da_theta_dz=_zero,
+            da_z_dtheta=_zero,
+            da_z_dz=_zero,
         )
     )
 
@@ -327,8 +324,6 @@ def sphere(
 ) -> ParamSurface:
     """Sphere patch in the colatitude chart: z is the colatitude, theta the azimuth."""
     rho = float(radius)
-    zero = lambda theta, z: np.zeros(np.broadcast(_arr(theta), _arr(z)).shape)
-    one = lambda theta, z: np.ones(np.broadcast(_arr(theta), _arr(z)).shape)
     return _validate_surface(
         ParamSurface(
             name="sphere",
@@ -354,14 +349,14 @@ def sphere(
                 np.sin(z) * np.sin(theta),
                 np.cos(z) + 0.0 * _arr(theta),
             ),
-            a_theta=lambda theta, z: rho * np.sin(z) * one(theta, z),
-            a_z=lambda theta, z: rho * one(theta, z),
-            kappa_theta=lambda theta, z: (1.0 / rho) * one(theta, z),
-            kappa_z=lambda theta, z: (1.0 / rho) * one(theta, z),
-            da_theta_dtheta=zero,
-            da_theta_dz=lambda theta, z: rho * np.cos(z) * one(theta, z),
-            da_z_dtheta=zero,
-            da_z_dz=zero,
+            a_theta=lambda theta, z: rho * np.sin(z) * _one(theta, z),
+            a_z=lambda theta, z: rho * _one(theta, z),
+            kappa_theta=lambda theta, z: (1.0 / rho) * _one(theta, z),
+            kappa_z=lambda theta, z: (1.0 / rho) * _one(theta, z),
+            da_theta_dtheta=_zero,
+            da_theta_dz=lambda theta, z: rho * np.cos(z) * _one(theta, z),
+            da_z_dtheta=_zero,
+            da_z_dz=_zero,
         )
     )
 
@@ -378,8 +373,6 @@ def pseudosphere(
     keeps |K| within roughly [0.7, 1].
     """
     a = float(waist)
-    zero = lambda theta, z: np.zeros(np.broadcast(_arr(theta), _arr(z)).shape)
-    one = lambda theta, z: np.ones(np.broadcast(_arr(theta), _arr(z)).shape)
 
     def ch(z):
         return np.cosh(_arr(z) / a)
@@ -399,24 +392,24 @@ def pseudosphere(
                 -a * ch(z) * np.sin(theta), a * ch(z) * np.cos(theta), 0.0 * _arr(z)
             ),
             tangent_z=lambda theta, z: _vec(
-                sh(z) * np.cos(theta), sh(z) * np.sin(theta), one(theta, z)
+                sh(z) * np.cos(theta), sh(z) * np.sin(theta), _one(theta, z)
             ),
             normal=lambda theta, z: _vec(
                 np.cos(theta) / ch(z), np.sin(theta) / ch(z), -sh(z) / ch(z) + 0.0 * _arr(theta)
             ),
-            a_theta=lambda theta, z: a * ch(z) * one(theta, z),
-            a_z=lambda theta, z: ch(z) * one(theta, z),
-            kappa_theta=lambda theta, z: one(theta, z) / (a * ch(z) ** 2),
-            kappa_z=lambda theta, z: -one(theta, z) / (a * ch(z) ** 2),
-            da_theta_dtheta=zero,
-            da_theta_dz=lambda theta, z: sh(z) * one(theta, z),
-            da_z_dtheta=zero,
-            da_z_dz=lambda theta, z: sh(z) / a * one(theta, z),
+            a_theta=lambda theta, z: a * ch(z) * _one(theta, z),
+            a_z=lambda theta, z: ch(z) * _one(theta, z),
+            kappa_theta=lambda theta, z: _one(theta, z) / (a * ch(z) ** 2),
+            kappa_z=lambda theta, z: -_one(theta, z) / (a * ch(z) ** 2),
+            da_theta_dtheta=_zero,
+            da_theta_dz=lambda theta, z: sh(z) * _one(theta, z),
+            da_z_dtheta=_zero,
+            da_z_dz=lambda theta, z: sh(z) / a * _one(theta, z),
         )
     )
 
 
-_SURFACES = {
+SURFACES = {  # name -> builder; the choices of every --surface
     "plate": plate,
     "cylinder": cylinder,
     "sphere": sphere,
@@ -427,9 +420,9 @@ _SURFACES = {
 def make_surface(name: str, **params) -> ParamSurface:
     """Build a surface by name; unknown names raise with the available list."""
     try:
-        builder = _SURFACES[name]
+        builder = SURFACES[name]
     except KeyError:
-        raise ValueError(f"unknown surface {name!r}; choose from {sorted(_SURFACES)}") from None
+        raise ValueError(f"unknown surface {name!r}; choose from {sorted(SURFACES)}") from None
     return builder(**params)
 
 
@@ -560,12 +553,15 @@ def bump_profile(h: float, surface: ParamSurface, amplitude: float = 0.3) -> Thi
     return prof
 
 
+PROFILES = ("shell", "bump")
+
+
 def make_profile(kind: str, h: float, surface: ParamSurface) -> ThicknessProfile:
     if kind == "shell":
         return shell_profile(h)
     if kind == "bump":
         return bump_profile(h, surface)
-    raise ValueError(f"unknown profile kind {kind!r}; choose from ['shell', 'bump']")
+    raise ValueError(f"unknown profile kind {kind!r}; choose from {list(PROFILES)}")
 
 
 # -- thin domains ---------------------------------------------------------------

@@ -109,8 +109,7 @@ def _best_fit_rotation(g: Array, grid: QuadratureGrid) -> Array:
     """Nearest rotation to the volume mean of the Euclidean gradient E g E^T."""
     e = grid.nodes.frame
     ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
-    mean = np.einsum("tij,tijkl->kl", grid.weights, ge) / grid.volume
-    return nearest_rotation(mean, warn_degenerate=False)
+    return nearest_rotation(weighted_mean(ge, grid), warn_degenerate=False)
 
 
 def optimal_offset(y: FrameField, rotation: Array, domain: ThinDomain, grid: QuadratureGrid) -> Array:
@@ -267,14 +266,6 @@ class EquivalenceRecord:
     upper_ok: bool  # E2* <= 3 E1
     lower_ok: bool  # E1 <= 2 E2* + (a^2 + b^2)
     amgm_ok: bool  # min_s form >= 2ab/h
-
-    @property
-    def ratio_e2_to_e1(self) -> float:
-        return self.e2_star / self.e1
-
-    @property
-    def ratio_e1_to_e2(self) -> float:
-        return self.e1 / self.e2_star
 
     @property
     def all_ok(self) -> bool:

@@ -125,27 +125,35 @@ def _group_lp(ids: Array, weights: Array, mag: Array, n: int, p: float) -> Array
     return acc ** (1.0 / p)
 
 
-def _group_mean_mat(ids: Array, weights: Array, mats: Array, n: int) -> Array:
-    """Weighted per-cell mean of nodal 3x3 matrices."""
-    flat_w = weights.reshape(-1)
+def _group_mean(ids: Array, weights: Array, values: Array, n: int, tot: Array) -> Array:
+    """Weighted per-cell mean of nodal 3-vectors or 3x3 matrices; ``tot`` holds the cell volumes."""
     flat_ids = ids.reshape(-1)
-    tot = np.bincount(flat_ids, weights=flat_w, minlength=n)
-    out = np.empty((n, 3, 3))
-    flat = mats.reshape(-1, 3, 3)
-    for i in range(3):
-        for j in range(3):
-            out[:, i, j] = np.bincount(flat_ids, weights=flat_w * flat[:, i, j], minlength=n)
-    return out / np.where(tot > 0, tot, 1.0)[:, None, None], tot
+    flat_w = weights.reshape(-1)
+    flat = values.reshape(flat_ids.size, -1)
+    out = np.empty((n, flat.shape[1]))
+    for k in range(flat.shape[1]):
+        out[:, k] = np.bincount(flat_ids, weights=flat_w * flat[:, k], minlength=n)
+    return (out / np.where(tot > 0, tot, 1.0)[:, None]).reshape((n, *values.shape[ids.ndim:]))
 
 
-def _group_mean_vec(ids: Array, weights: Array, vecs: Array, n: int, tot: Array) -> Array:
-    out = np.empty((n, 3))
-    flat = vecs.reshape(-1, 3)
-    flat_w = weights.reshape(-1)
-    flat_ids = ids.reshape(-1)
-    for i in range(3):
-        out[:, i] = np.bincount(flat_ids, weights=flat_w * flat[:, i], minlength=n)
-    return out / np.where(tot > 0, tot, 1.0)[:, None]
+def _fit_patches(v: FrameField, grid: QuadratureGrid, ids: Array, n: int, p: float):
+    """Best-fit rotation per cell of the Euclidean gradient E (grad v + I) E^T of v on ``grid``.
+
+    The gradient is conjugated back to the fixed Euclidean basis because the
+    frame varies over a patch, so a constant rotation can only be fitted
+    there.  Returns the frame components of v, that gradient, the cell
+    rotations and volumes, the per-cell residual ||ge - R_i||_p, and the
+    node-wise dist(ge, SO(3)).
+    """
+    comp, par = on_grid(v, grid)
+    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs) + np.eye(3)
+    e = grid.nodes.frame
+    ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+    w = grid.weights
+    tot = np.bincount(ids.reshape(-1), weights=w.reshape(-1), minlength=n)
+    rot = nearest_rotation(_group_mean(ids, w, ge, n, tot), warn_degenerate=False)
+    resid = _group_lp(ids, w, np.linalg.norm(ge - rot[ids], axis=(-2, -1)), n, p)
+    return comp, ge, rot, tot, resid, dist_SO3(ge)
 
 
 @dataclass(frozen=True)
@@ -188,34 +196,6 @@ class TraceAggregate:
     c_poincare_max: float
     c_rot_lb_min: float
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "h": self.h,
-            "p": self.p,
-            "count": self.count,
-            "grad_total": self.grad_total,
-            "field_total": self.field_total,
-            "dist_total": self.dist_total,
-            "balance_rhs": self.balance_rhs,
-            "c_balance": self.c_balance,
-            "c_local_max": self.c_local_max,
-            "c_poincare_max": self.c_poincare_max,
-            "c_rot_lb_min": self.c_rot_lb_min,
-        }
-
-
-def _euclidean_on(v: FrameField, grid: QuadratureGrid) -> tuple[Array, Array]:
-    """Frame components of v and the Euclidean gradient E (grad v + I) E^T on every grid node.
-
-    The gradient is conjugated back to the fixed Euclidean basis because the
-    frame varies over a patch, so a constant rotation can only be fitted there.
-    """
-    comp, par = on_grid(v, grid)
-    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs) + np.eye(3)
-    e = grid.nodes.frame
-    return comp, np.einsum("...ik,...kl,...jl->...ij", e, g, e)
-
 
 def patch_trace(
     v: FrameField,
@@ -240,19 +220,15 @@ def patch_trace(
         )
     ids = decomposition.cell_ids(grid)
     w = grid.weights
-    comp, ge = _euclidean_on(v, grid)
-    mean_g, tot = _group_mean_mat(ids, w, ge, n)
-    rot = nearest_rotation(mean_g, warn_degenerate=False)
+    comp, ge, rot, tot, resid, dist_nodes = _fit_patches(v, grid, ids, n, p)
+    dist = _group_lp(ids, w, dist_nodes, n, p)
 
     x_e = grid.nodes.point(grid.t)
     v_e = np.einsum("...ij,...j->...i", grid.nodes.frame, comp)
-    rot_nodes = rot[ids]
-    imr_x = x_e - np.einsum("...ij,...j->...i", rot_nodes, x_e)
-    b = _group_mean_vec(ids, w, v_e + imr_x, n, tot)
-    b_worst = _group_mean_vec(ids, w, imr_x, n, tot)
+    imr_x = x_e - np.einsum("...ij,...j->...i", rot[ids], x_e)
+    b = _group_mean(ids, w, v_e + imr_x, n, tot)
+    b_worst = _group_mean(ids, w, imr_x, n, tot)
 
-    resid = _group_lp(ids, w, np.linalg.norm(ge - rot_nodes, axis=(-2, -1)), n, p)
-    dist = _group_lp(ids, w, dist_SO3(ge), n, p)
     grad = _group_lp(ids, w, np.linalg.norm(ge - np.eye(3), axis=(-2, -1)), n, p)
     field = _group_lp(ids, w, np.linalg.norm(v_e, axis=-1), n, p)
     imr_frob = np.linalg.norm(rot - np.eye(3), axis=(-2, -1))
@@ -379,22 +355,6 @@ class ShellDomainTrace:
     trivial: bool
     per_patch: list = dc_field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "p": self.p,
-            "count": self.count,
-            "core_half_thickness": self.core_half_thickness,
-            "grad_domain": self.grad_domain,
-            "grad_core": self.grad_core,
-            "dist_domain": self.dist_domain,
-            "ratio": self.ratio,
-            "c_excess": self.c_excess,
-            "rot_gap_max": self.rot_gap_max,
-            "c_rot_gap_max": self.c_rot_gap_max,
-            "trivial": self.trivial,
-        }
-
 
 def shell_to_domain_trace(
     v: FrameField,
@@ -446,35 +406,15 @@ def shell_to_domain_trace(
     dec = _build_partition(domain, target, gamma=1.0)
 
     p_f = float(p)
-    out_patches = []
-
-    def _norms_on(grd):
-        _, ge = _euclidean_on(v, grd)
-        dist = dist_SO3(ge)
-        grad = np.linalg.norm(ge - np.eye(3), axis=(-2, -1))
-        return ge, dist, grad
-
+    n = dec.count
     ids_o = dec.cell_ids(grid)
     ids_c = dec.cell_ids(core_grid)
-    n = dec.count
-    g_o, dist_o, grad_o = _norms_on(grid)
-    g_c, dist_c, grad_c = _norms_on(core_grid)
-
-    mean_o, tot_o = _group_mean_mat(ids_o, grid.weights, g_o, n)
-    mean_c, tot_c = _group_mean_mat(ids_c, core_grid.weights, g_c, n)
-    rot_o = nearest_rotation(mean_o, warn_degenerate=False)
-    rot_c = nearest_rotation(mean_c, warn_degenerate=False)
-
+    _, g_o, rot_o, tot_o, resid_o, dist_o = _fit_patches(v, grid, ids_o, n, p_f)
+    _, g_c, rot_c, tot_c, resid_c, dist_c = _fit_patches(v, core_grid, ids_c, n, p_f)
+    grad_o = np.linalg.norm(g_o - np.eye(3), axis=(-2, -1))
+    grad_c = np.linalg.norm(g_c - np.eye(3), axis=(-2, -1))
     dist_o_p = _group_lp(ids_o, grid.weights, dist_o, n, p_f)
     dist_c_p = _group_lp(ids_c, core_grid.weights, dist_c, n, p_f)
-    resid_c = _group_lp(
-        ids_c, core_grid.weights,
-        np.linalg.norm(g_c - rot_c[ids_c], axis=(-2, -1)), n, p_f,
-    )
-    resid_o = _group_lp(
-        ids_o, grid.weights,
-        np.linalg.norm(g_o - rot_o[ids_o], axis=(-2, -1)), n, p_f,
-    )
     gap = np.linalg.norm(rot_o - rot_c, axis=(-2, -1))
     scale = grid.volume ** (1.0 / p_f)
     c_gap = np.where(dist_o_p > 1e-13 * scale, gap * tot_c ** (1.0 / p_f) / np.maximum(dist_o_p, 1e-300), np.nan)
@@ -486,21 +426,21 @@ def shell_to_domain_trace(
     ratio = grad_domain / denom if denom > 0 else math.nan
     c_excess = (grad_domain - grad_core) / dist_domain if dist_domain > 1e-13 * scale else math.nan
 
-    for i in range(n):
-        out_patches.append(
-            {
-                "index": i,
-                "rect": dec.cell_rect(i),
-                "resid_core": float(resid_c[i]),
-                "resid_domain": float(resid_o[i]),
-                "dist_core": float(dist_c_p[i]),
-                "dist_domain": float(dist_o_p[i]),
-                "rot_gap": float(gap[i]),
-                "c_rot_gap": float(c_gap[i]),
-                "core_volume": float(tot_c[i]),
-                "domain_volume": float(tot_o[i]),
-            }
-        )
+    out_patches = [
+        {
+            "index": i,
+            "rect": dec.cell_rect(i),
+            "resid_core": float(resid_c[i]),
+            "resid_domain": float(resid_o[i]),
+            "dist_core": float(dist_c_p[i]),
+            "dist_domain": float(dist_o_p[i]),
+            "rot_gap": float(gap[i]),
+            "c_rot_gap": float(c_gap[i]),
+            "core_volume": float(tot_c[i]),
+            "domain_volume": float(tot_o[i]),
+        }
+        for i in range(n)
+    ]
 
     finite_gaps = c_gap[np.isfinite(c_gap)]
     return ShellDomainTrace(

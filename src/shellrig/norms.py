@@ -56,10 +56,6 @@ class QuadratureGrid:
     weights: Array
 
     @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.resolution))
-
-    @property
     def volume(self) -> float:
         return float(self.weights.sum())
 

@@ -55,6 +55,35 @@ def test_bad_field_spec_is_a_usage_error(tmp_path, capsys, subcommand, argv, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, file_vals, argv, named",
+    [
+        ("sweep", {"rotation_mode": "bogus"}, [], "rotation_mode"),
+        ("sweep", {"offset_mode": "bogus"}, [], "offset_mode"),
+        ("sweep", {"adaptive_theta": "no"}, [], "adaptive_theta"),
+        ("sweep", {"profile": "bogus"}, [], "profile"),
+        ("sweep", {"seeds": "3"}, ["--field", "random"], "seeds"),
+        ("sweep", None, ["--field", "random:1", "--modes", "0"], "modes"),
+        ("sweep", None, ["--field", "random:1", "--amplitude", "-1"], "amplitude"),
+        ("sweep", None, ["--field", "user:missing.csv"], "'user:missing.csv'"),
+        ("korn-sweep", None, ["--field", "identity"], "'identity'"),
+    ],
+)
+def test_config_value_errors_exit_2_before_any_file(
+    tmp_path, monkeypatch, capsys, subcommand, file_vals, argv, named
+):
+    # config-file values get the checks a flag gets; none of these leaves --out behind
+    monkeypatch.chdir(tmp_path)
+    if file_vals is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(file_vals))
+        argv = ["--config", "cfg.json", *argv]
+    out = tmp_path / "run"
+    assert run([subcommand, "--num-h", "4", "--h-min", "1e-2", "--nt", "2", "--ntheta", "8", "--nz", "8",
+                *argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_writes_exactly_four_files(tmp_path):
     out = tmp_path / "run"
     assert run(["sweep", *FAST_SWEEP, "--out", str(out)]) == 0
