@@ -282,7 +282,13 @@ def random_smooth_field(
     """Deterministic truncated trigonometric displacement with analytic partials.
 
     Coefficients, integer frequencies, and phases are drawn from the seed;
-    the same seed always reproduces the same field.
+    the same seed always reproduces the same field.  Each mode is a product
+    of a t, a theta and a z factor, and each factor is evaluated on its own
+    argument's shape: on a grid (t on all nodes, theta (ntheta, 1), z
+    (1, nz)) the theta and z trig runs on the 1-d axes, and only the
+    products broadcast to every node.  The output has the broadcast shape
+    of the arguments plus (3,) for ``components`` and (3, 3) for
+    ``partials``.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
@@ -296,23 +302,22 @@ def random_smooth_field(
     w_z = (np.pi / (z1 - z0)) * rng.integers(0, 3, (3, mode_count))
     phase = rng.uniform(0.0, 2.0 * np.pi, (3, mode_count, 3))
 
+    def angles(t, theta, z):
+        # (..., 3, modes) per argument, broadcast only by the products
+        at = _arr(t)[..., None, None] * w_t + phase[..., 0]
+        ath = (_arr(theta)[..., None, None] - t0) * w_th + phase[..., 1]
+        az = (_arr(z)[..., None, None] - z0) * w_z + phase[..., 2]
+        return at, ath, az
+
     def comp(t, theta, z):
-        t_, th_, z_ = np.broadcast_arrays(_arr(t), _arr(theta), _arr(z))
-        sh = t_.shape + (1, 1)
-        at = t_.reshape(sh) * w_t + phase[..., 0]
-        ath = (th_.reshape(sh) - t0) * w_th + phase[..., 1]
-        az = (z_.reshape(sh) - z0) * w_z + phase[..., 2]
+        at, ath, az = angles(t, theta, z)
         return np.sum(coef * np.cos(at) * np.cos(ath) * np.cos(az), axis=-1)
 
     def par(t, theta, z):
-        t_, th_, z_ = np.broadcast_arrays(_arr(t), _arr(theta), _arr(z))
-        sh = t_.shape + (1, 1)
-        at = t_.reshape(sh) * w_t + phase[..., 0]
-        ath = (th_.reshape(sh) - t0) * w_th + phase[..., 1]
-        az = (z_.reshape(sh) - z0) * w_z + phase[..., 2]
+        at, ath, az = angles(t, theta, z)
         ct, cth, cz = np.cos(at), np.cos(ath), np.cos(az)
         st, sth, sz = np.sin(at), np.sin(ath), np.sin(az)
-        out = np.empty(t_.shape + (3, 3))
+        out = np.empty(np.broadcast_shapes(np.shape(t), np.shape(theta), np.shape(z)) + (3, 3))
         out[..., 0] = np.sum(-coef * w_t * st * cth * cz, axis=-1)
         out[..., 1] = np.sum(-coef * w_th * ct * sth * cz, axis=-1)
         out[..., 2] = np.sum(-coef * w_z * ct * cth * sz, axis=-1)

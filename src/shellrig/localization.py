@@ -136,24 +136,40 @@ def _group_mean(ids: Array, weights: Array, values: Array, n: int, tot: Array) -
     return (out / np.where(tot > 0, tot, 1.0)[:, None]).reshape((n, *values.shape[ids.ndim:]))
 
 
-def _fit_patches(v: FrameField, grid: QuadratureGrid, ids: Array, n: int, p: float):
-    """Best-fit rotation per cell of the Euclidean gradient E (grad v + I) E^T of v on ``grid``.
+def _nodal(v: FrameField, grid: QuadratureGrid) -> tuple[Array, Array, Array]:
+    """Frame components of v, the Euclidean gradient E (grad v + I) E^T and its dist to SO(3), per node.
 
     The gradient is conjugated back to the fixed Euclidean basis because the
     frame varies over a patch, so a constant rotation can only be fitted
-    there.  Returns the frame components of v, that gradient, the cell
-    rotations and volumes, the per-cell residual ||ge - R_i||_p, and the
-    node-wise dist(ge, SO(3)).
+    there.  The result depends on v and the grid alone, so it is kept in
+    ``grid.memo["nodal"]`` (see ``QuadratureGrid``) as read-only arrays.
     """
+    hit = grid.memo.get("nodal")
+    if hit is not None and hit[0] is v:
+        return hit[1]
     comp, par = on_grid(v, grid)
     g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs) + np.eye(3)
     e = grid.nodes.frame
     ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+    out = (comp, ge, dist_SO3(ge))
+    for a in out:
+        a.flags.writeable = False
+    grid.memo["nodal"] = (v, out)
+    return out
+
+
+def _fit_patches(v: FrameField, grid: QuadratureGrid, ids: Array, n: int, p: float):
+    """Best-fit rotation per cell of the Euclidean gradient ge of v on ``grid`` (see ``_nodal``).
+
+    Returns the frame components of v, ge, the cell rotations and volumes,
+    the per-cell residual ||ge - R_i||_p, and the node-wise dist(ge, SO(3)).
+    """
+    comp, ge, dist = _nodal(v, grid)
     w = grid.weights
     tot = np.bincount(ids.reshape(-1), weights=w.reshape(-1), minlength=n)
     rot = nearest_rotation(_group_mean(ids, w, ge, n, tot), warn_degenerate=False)
     resid = _group_lp(ids, w, np.linalg.norm(ge - rot[ids], axis=(-2, -1)), n, p)
-    return comp, ge, rot, tot, resid, dist_SO3(ge)
+    return comp, ge, rot, tot, resid, dist
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -46,6 +46,14 @@ class QuadratureGrid:
     components and partials of the map x -> x on all nodes.  The latter are
     3-d arrays (about 120 bytes per node), so hold a grid only while its
     reports are evaluated: a sweep keeps ``resolution``, not the grid.
+
+    ``memo`` holds what depends on a field as well as the grid.  Only the
+    localization audit fills it, with one entry ``"nodal"``: the last field
+    traced on the grid and its components, Euclidean gradient and distance
+    to SO(3) on all nodes, so the bump trace's two passes over one grid
+    evaluate the field once.  The key is the field object itself (held, so
+    its identity cannot be reused); another field replaces the entry, and it
+    dies with the grid.  Sweeps never use it.
     """
 
     domain: ThinDomain
@@ -54,6 +62,7 @@ class QuadratureGrid:
     theta: Array
     z: Array
     weights: Array
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def volume(self) -> float:

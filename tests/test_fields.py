@@ -210,6 +210,38 @@ def test_random_field_finite_on_grids(surface):
         assert np.isfinite(nm.lp_norm(f.components(t, th, zz), grid, p))
 
 
+def test_random_field_on_grid_axes_is_bit_identical_to_the_mesh(surface):
+    from shellrig import norms as nm
+
+    grid = nm.build_grid(geo.ThinDomain(surface, geo.shell_profile(0.02)), (3, 9, 7))
+    f = fl.random_smooth_field(3, 0.2, 4, surface)
+    axes, mesh = (grid.t, *grid.plane), grid.mesh()
+    assert f.components(*axes).tobytes() == f.components(*mesh).tobytes()
+    assert f.partials(*axes).tobytes() == f.partials(*mesh).tobytes()
+    assert f.components(*axes).shape == grid.resolution + (3,)
+    assert f.partials(*axes).shape == grid.resolution + (3, 3)
+
+
+@pytest.mark.parametrize(
+    "shapes", [((), (), ()), ((5,), (5,), (5,)), ((), (4,), ()), ((2, 1, 1), (3, 1), (4,)), ((3, 1), (1, 4), ())]
+)
+def test_random_field_output_has_the_broadcast_shape(shapes):
+    s = geo.make_surface("sphere")
+    f = fl.random_smooth_field(8, 0.3, 3, s)
+    rng = np.random.default_rng(12)
+    t0, t1, z0, z1 = s.domain
+    t = rng.uniform(-0.01, 0.01, shapes[0])
+    th = rng.uniform(t0, t1, shapes[1])
+    zz = rng.uniform(z0, z1, shapes[2])
+    full = np.broadcast_shapes(*shapes)
+    comp, par = f.components(t, th, zz), f.partials(t, th, zz)
+    assert comp.shape == full + (3,)
+    assert par.shape == full + (3, 3)
+    mesh = np.broadcast_arrays(t, th, zz)
+    assert comp.tobytes() == f.components(*mesh).tobytes()
+    assert par.tobytes() == f.partials(*mesh).tobytes()
+
+
 # -- bending-type displacement ------------------------------------------------------
 
 

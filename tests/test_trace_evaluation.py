@@ -9,7 +9,9 @@ node, field components twice per patch trace).  Evaluating them on the
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -126,14 +128,56 @@ def test_bump_trace_evaluates_each_grid_once(monkeypatch, tmp_path):
 
     assert cli.main([*TRACE, *TRACES["trace bump random:2"], "--out", str(tmp_path)]) == 0
     nt, nth, nz = json.loads((tmp_path / "config.json").read_text())["grid"]
-    # patch_trace reads its grid once; the passage reads the domain grid and
-    # the core-shell grid once each; the frame is evaluated once per grid,
-    # on the (theta, z) nodes only
+    # the field is evaluated once per distinct grid: patch_trace evaluates the
+    # domain grid, and the passage reuses that evaluation and evaluates only
+    # its core-shell grid; the frame is evaluated once per grid, on the
+    # (theta, z) nodes only
     assert set(calls.values()) == {1}
     assert Counter((ph, name) for ph, name, _ in calls) == {
         ("patch_trace", "components"): 1,
         ("patch_trace", "partials"): 1,
-        ("shell_to_domain_trace", "components"): 2,
-        ("shell_to_domain_trace", "partials"): 2,
+        ("shell_to_domain_trace", "components"): 1,
+        ("shell_to_domain_trace", "partials"): 1,
     }
     assert frames == [(nth, nz), (nth, nz)]
+
+
+def _trace_reprs(traced):
+    if isinstance(traced, tuple):  # patch_trace: (per-patch traces, aggregate)
+        return _reprs([[dataclasses.asdict(tr) for tr in traced[0]], dataclasses.asdict(traced[1])])
+    return _reprs(dataclasses.asdict(traced))
+
+
+def test_nodal_cache_follows_the_field():
+    s = geo.make_surface("sphere")
+    domain = geo.ThinDomain(s, geo.make_profile("bump", 3e-2, s))
+    dec = loc.partition(domain, 0.5)
+    resolution = (2, max(16, 4 * dec.m_theta), max(16, 4 * dec.m_z))
+    grid = nm.build_grid(domain, resolution)
+    a = fl.random_smooth_field(1, 1e-3, 4, s)
+    b = fl.random_smooth_field(2, 1e-3, 4, s)
+    calls = {
+        "patch": lambda v, g: loc.patch_trace(v, dec, g, 2.0),
+        "shell": lambda v, g: loc.shell_to_domain_trace(v, domain, g, 2.0),
+    }
+    # A, then B, then A on one grid, each call checked against a fresh grid
+    for kind, v in (("patch", a), ("shell", a), ("patch", b), ("shell", a), ("shell", b), ("patch", a)):
+        got = _trace_reprs(calls[kind](v, grid))
+        assert got == _trace_reprs(calls[kind](v, nm.build_grid(domain, resolution))), (kind, v.description)
+        assert grid.memo["nodal"][0] is v
+
+
+def test_nodal_cache_dies_with_the_trace(monkeypatch, tmp_path):
+    held = []  # weak references to every grid, field and array the nodal cache saw
+    nodal = loc._nodal
+
+    def recorded(v, grid):
+        out = nodal(v, grid)
+        held.extend(weakref.ref(o) for o in (v, grid, *out))
+        return out
+
+    monkeypatch.setattr(loc, "_nodal", recorded)
+    assert cli.main([*TRACE, *TRACES["trace bump random:2"], "--out", str(tmp_path)]) == 0
+    gc.collect()
+    assert len(held) == 3 * 5  # patch_trace, then the passage's domain and core grids
+    assert [r() for r in held] == [None] * len(held)
