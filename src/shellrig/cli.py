@@ -7,6 +7,9 @@ a CSV of rows, a JSON summary, and verdict.txt.  Outputs contain no
 timestamps, so re-running with --force reproduces them bit for bit.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage/config error.
+Flags are checked before a run starts, and a usage error writes nothing.  A
+numerical failure inside a run is a failed verdict: the four files are
+written, with the rows done so far and the failure in the JSON summary.
 """
 
 from __future__ import annotations
@@ -81,6 +84,15 @@ def _finish(out: Path | None, verdicts: dict, echo: dict, table: tuple, summary:
     for line in lines:
         print(line)
     return 0 if all(ok for ok, _ in verdicts.values()) else 1
+
+
+# numerical failures inside a run (the kernels raise ValueError subclasses)
+_RUN_ERRORS = (ValueError, ArithmeticError)
+
+
+def _run_failure(name: str, err: Exception) -> tuple[dict, dict]:
+    """The verdicts and the JSON summary of a run stopped by ``err``."""
+    return {name: (False, f"{name} failed: {err}")}, {"failure": str(err)}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -180,25 +192,14 @@ def _cmd_sweep(args, linearized: bool) -> int:
 # -- trace ------------------------------------------------------------------------
 
 
-def _cmd_trace(args) -> int:
-    if not (1.0 < args.p < math.inf):
-        raise UsageError("p must satisfy 1 < p < infinity")
-    surface = geo.make_surface(args.surface, **_surface_params(args))
-    if args.h >= surface.h0():
-        raise UsageError(f"h={args.h:g} must stay below h0={surface.h0():g}")
-    domain = geo.ThinDomain(surface, geo.make_profile(args.profile, args.h, surface))
-    dec = loc.partition(domain, args.gamma)
-    nth = max(args.ntheta, 4 * dec.m_theta)
-    nz = max(args.nz, 4 * dec.m_z)
-    grid = nm.build_grid(domain, (args.nt, nth, nz))
-    u = fl.make_field(
-        args.field, surface, args.h, amplitude=args.amplitude, modes=args.modes, domain=domain
-    )
-    if u.kind != "displacement":
-        raise UsageError("trace needs a displacement field (ansatz or random:<seed>)")
-    traces, agg = loc.patch_trace(u, dec, grid, args.p)
+_TRACE_HEADER = [
+    "patch", "theta0", "theta1", "z0", "z1", "volume", "resid", "dist", "grad", "field",
+    "c_local", "c_poincare", "c_rot_lb", "vacuous",
+]
 
-    rows = [
+
+def _trace_rows(traces) -> list[dict]:
+    return [
         {
             "patch": tr.index,
             "theta0": tr.rect[0],
@@ -217,21 +218,24 @@ def _cmd_trace(args) -> int:
         }
         for tr in traces
     ]
-    summary = dataclasses.asdict(agg)
-    summary["partition"] = {
-        "m_theta": dec.m_theta,
-        "m_z": dec.m_z,
-        "count": dec.count,
-        "scale_constant": dec.scale_constant,
-        "degenerate": dec.degenerate,
-    }
-    if args.profile == "bump":
-        sdt = loc.shell_to_domain_trace(u, domain, grid, args.p)
-        # not asdict: it would deep-copy the per_patch list, which trace.json leaves out
-        summary["shell_to_domain"] = {
-            f.name: getattr(sdt, f.name) for f in dataclasses.fields(sdt) if f.name != "per_patch"
-        }
 
+
+def _cmd_trace(args) -> int:
+    if not (1.0 < args.p < math.inf):
+        raise UsageError("p must satisfy 1 < p < infinity")
+    surface = geo.make_surface(args.surface, **_surface_params(args))
+    if args.h >= surface.h0():
+        raise UsageError(f"h={args.h:g} must stay below h0={surface.h0():g}")
+    domain = geo.ThinDomain(surface, geo.make_profile(args.profile, args.h, surface))
+    dec = loc.partition(domain, args.gamma)
+    nth = max(args.ntheta, 4 * dec.m_theta)
+    nz = max(args.nz, 4 * dec.m_z)
+    grid = nm.build_grid(domain, (args.nt, nth, nz))
+    u = fl.make_field(
+        args.field, surface, args.h, amplitude=args.amplitude, modes=args.modes, domain=domain
+    )
+    if u.kind != "displacement":
+        raise UsageError("trace needs a displacement field (ansatz or random:<seed>)")
     out = _prepare_outdir(args.out or _default_outdir("trace"), args.force)
     echo = {
         "subcommand": "trace",
@@ -246,62 +250,48 @@ def _cmd_trace(args) -> int:
         "modes": args.modes,
         "grid": [args.nt, nth, nz],
     }
-    verdicts = {
-        "trace": (
-            math.isfinite(agg.c_balance),
-            f"c_balance={agg.c_balance:.4f}, c_poincare_max={agg.c_poincare_max:.4f}, "
-            f"c_rot_lb_min={agg.c_rot_lb_min:.4f} over {dec.count} patches",
-        )
-    }
-    return _finish(out, verdicts, echo, ("trace.csv", rows, list(rows[0])), ("trace.json", summary))
+    rows = []
+    try:
+        traces, agg = loc.patch_trace(u, dec, grid, args.p)
+        rows = _trace_rows(traces)
+        summary = dataclasses.asdict(agg)
+        summary["partition"] = {
+            "m_theta": dec.m_theta,
+            "m_z": dec.m_z,
+            "count": dec.count,
+            "scale_constant": dec.scale_constant,
+            "degenerate": dec.degenerate,
+        }
+        if args.profile == "bump":
+            sdt = loc.shell_to_domain_trace(u, domain, grid, args.p)
+            # not asdict: it would deep-copy the per_patch list, which trace.json leaves out
+            summary["shell_to_domain"] = {
+                f.name: getattr(sdt, f.name) for f in dataclasses.fields(sdt) if f.name != "per_patch"
+            }
+    except _RUN_ERRORS as err:
+        verdicts, summary = _run_failure("trace", err)
+    else:
+        verdicts = {
+            "trace": (
+                math.isfinite(agg.c_balance),
+                f"c_balance={agg.c_balance:.4f}, c_poincare_max={agg.c_poincare_max:.4f}, "
+                f"c_rot_lb_min={agg.c_rot_lb_min:.4f} over {dec.count} patches",
+            )
+        }
+    return _finish(out, verdicts, echo, ("trace.csv", rows, _TRACE_HEADER), ("trace.json", summary))
 
 
 # -- gradient check ----------------------------------------------------------------
 
 
 def _cmd_check_gradient(args) -> int:
+    if args.points < 1 or args.modes < 1:
+        raise UsageError("--points and --modes must be at least 1")
+    # the oracle's stencil reaches t +- 2*step from sample points with |t| <= h/4
+    if not 0.0 < 8.0 * args.step < args.h:
+        raise UsageError("--step must lie in (0, h/8) so the oracle stays inside the shell")
     rng = np.random.default_rng(args.seed)
-    rows = []
-    worst = 0.0
-    orders = []
-    for name in geo.SURFACES:
-        surface = geo.make_surface(name)
-        domain = geo.ThinDomain(surface, geo.shell_profile(args.h))
-        t0, t1, z0, z1 = surface.domain
-        n = args.points
-        th = rng.uniform(t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0), n)
-        zz = rng.uniform(z0 + 0.1 * (z1 - z0), z1 - 0.1 * (z1 - z0), n)
-        tt = rng.uniform(-args.h / 4, args.h / 4, n)
-        for fseed in (11, 12, 13):
-            f = fl.random_smooth_field(fseed, 0.5, args.modes, surface)
-            g = fl.frame_gradient(f, surface, tt, th, zz)
-            e1 = np.linalg.norm(
-                g - fl.euclidean_gradient_oracle(f, domain, tt, th, zz, step=args.step),
-                axis=(-2, -1),
-            )
-            e2 = np.linalg.norm(
-                g - fl.euclidean_gradient_oracle(f, domain, tt, th, zz, step=2 * args.step),
-                axis=(-2, -1),
-            )
-            order = math.log2(e2.sum() / max(e1.sum(), 1e-300))
-            rows.append(
-                {
-                    "surface": name,
-                    "field_seed": fseed,
-                    "max_err": float(e1.max()),
-                    "order": order,
-                }
-            )
-            worst = max(worst, float(e1.max()))
-            orders.append(order)
-    ok = worst <= args.tol and all(1.8 <= o <= 2.2 for o in orders)
-    verdict = {
-        "frame-gradient": (
-            ok,
-            f"max error {worst:.3e} (tol {args.tol:g}), order range "
-            f"[{min(orders):.3f}, {max(orders):.3f}]",
-        )
-    }
+    out = _prepare_outdir(args.out, args.force) if args.out else None
     echo = {
         "subcommand": "check-gradient",
         "step": args.step,
@@ -311,9 +301,54 @@ def _cmd_check_gradient(args) -> int:
         "seed": args.seed,
         "modes": args.modes,
     }
+    domains = [geo.ThinDomain(geo.make_surface(name), geo.shell_profile(args.h)) for name in geo.SURFACES]
+    rows = []
+    worst = 0.0
+    orders = []
+    try:
+        for domain in domains:
+            t0, t1, z0, z1 = domain.surface.domain
+            n = args.points
+            th = rng.uniform(t0 + 0.1 * (t1 - t0), t1 - 0.1 * (t1 - t0), n)
+            zz = rng.uniform(z0 + 0.1 * (z1 - z0), z1 - 0.1 * (z1 - z0), n)
+            tt = rng.uniform(-args.h / 4, args.h / 4, n)
+            for fseed in (11, 12, 13):
+                f = fl.random_smooth_field(fseed, 0.5, args.modes, domain.surface)
+                g = fl.frame_gradient(f, domain.surface, tt, th, zz)
+                e1 = np.linalg.norm(
+                    g - fl.euclidean_gradient_oracle(f, domain, tt, th, zz, step=args.step),
+                    axis=(-2, -1),
+                )
+                e2 = np.linalg.norm(
+                    g - fl.euclidean_gradient_oracle(f, domain, tt, th, zz, step=2 * args.step),
+                    axis=(-2, -1),
+                )
+                order = math.log2(e2.sum() / max(e1.sum(), 1e-300))
+                rows.append(
+                    {
+                        "surface": domain.surface.name,
+                        "field_seed": fseed,
+                        "max_err": float(e1.max()),
+                        "order": order,
+                    }
+                )
+                worst = max(worst, float(e1.max()))
+                orders.append(order)
+    except _RUN_ERRORS as err:
+        verdicts, summary = _run_failure("frame-gradient", err)
+    else:
+        ok = worst <= args.tol and all(1.8 <= o <= 2.2 for o in orders)
+        verdicts = {
+            "frame-gradient": (
+                ok,
+                f"max error {worst:.3e} (tol {args.tol:g}), order range "
+                f"[{min(orders):.3f}, {max(orders):.3f}]",
+            )
+        }
+        summary = {"max_err": worst, "orders": orders}
     return _finish(
-        _prepare_outdir(args.out, args.force) if args.out else None, verdict, echo,
-        ("checks.csv", rows, list(rows[0])), ("gradient_check.json", {"max_err": worst, "orders": orders}),
+        out, verdicts, echo, ("checks.csv", rows, ["surface", "field_seed", "max_err", "order"]),
+        ("gradient_check.json", summary),
     )
 
 
@@ -369,6 +404,8 @@ def _cmd_dist_so3(args) -> int:
 
 
 def _cmd_doubling(args) -> int:
+    if min(args.num_r, args.centers) < 1 or args.budget < 0:
+        raise UsageError("--num-r and --centers must be at least 1 and --budget nonnegative")
     surface = geo.make_surface(args.surface, **_surface_params(args))
     rng = np.random.default_rng(args.seed)
     t0, t1, z0, z1 = surface.domain
@@ -377,36 +414,7 @@ def _cmd_doubling(args) -> int:
     margin_z = 2.5 * args.r_max / float(surface.a_z(0.5 * (t0 + t1), 0.5 * (z0 + z1)))
     if t0 + margin_th >= t1 - margin_th or z0 + margin_z >= z1 - margin_z:
         raise UsageError("patch too small for the requested radius range")
-    rows = []
-    for _ in range(args.centers):
-        thc = rng.uniform(t0 + margin_th, t1 - margin_th)
-        zc = rng.uniform(z0 + margin_z, z1 - margin_z)
-        for r in radii:
-            est = geo.doubling_ratio(surface, (thc, zc), float(r), budget=args.budget)
-            rows.append(
-                {
-                    "theta": thc,
-                    "z": zc,
-                    "r": float(r),
-                    "ratio": est.ratio,
-                    "stderr": est.stderr,
-                    "warnings": ";".join(est.warnings),
-                }
-            )
-    sigma_hat = max(row["ratio"] for row in rows)
-    summary = {
-        "sigma_hat": sigma_hat,
-        "delta": args.r_max,
-        "centers": args.centers,
-        "budget": args.budget,
-    }
-    verdicts = {
-        "doubling": (
-            sigma_hat <= args.sigma_tol,
-            f"sigma_hat={sigma_hat:.4f} <= {args.sigma_tol} over r in "
-            f"[{args.r_min:g}, {args.r_max:g}]",
-        )
-    }
+    out = _prepare_outdir(args.out, args.force) if args.out else None
     echo = {
         "subcommand": "doubling",
         "surface": args.surface,
@@ -419,9 +427,43 @@ def _cmd_doubling(args) -> int:
         "seed": args.seed,
         "sigma_tol": args.sigma_tol,
     }
+    rows = []
+    try:
+        for _ in range(args.centers):
+            thc = rng.uniform(t0 + margin_th, t1 - margin_th)
+            zc = rng.uniform(z0 + margin_z, z1 - margin_z)
+            for r in radii:
+                est = geo.doubling_ratio(surface, (thc, zc), float(r), budget=args.budget)
+                rows.append(
+                    {
+                        "theta": thc,
+                        "z": zc,
+                        "r": float(r),
+                        "ratio": est.ratio,
+                        "stderr": est.stderr,
+                        "warnings": ";".join(est.warnings),
+                    }
+                )
+    except _RUN_ERRORS as err:
+        verdicts, summary = _run_failure("doubling", err)
+    else:
+        sigma_hat = max(row["ratio"] for row in rows)
+        summary = {
+            "sigma_hat": sigma_hat,
+            "delta": args.r_max,
+            "centers": args.centers,
+            "budget": args.budget,
+        }
+        verdicts = {
+            "doubling": (
+                sigma_hat <= args.sigma_tol,
+                f"sigma_hat={sigma_hat:.4f} <= {args.sigma_tol} over r in "
+                f"[{args.r_min:g}, {args.r_max:g}]",
+            )
+        }
     return _finish(
-        _prepare_outdir(args.out, args.force) if args.out else None, verdicts, echo,
-        ("doubling.csv", rows, list(rows[0])), ("doubling.json", summary),
+        out, verdicts, echo, ("doubling.csv", rows, ["theta", "z", "r", "ratio", "stderr", "warnings"]),
+        ("doubling.json", summary),
     )
 
 

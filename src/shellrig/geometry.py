@@ -63,6 +63,18 @@ def chart_coefficients(surface: ParamSurface, theta, z) -> ChartCoefficients:
     )
 
 
+def _transpose_times(m: Array, v: Array) -> Array:
+    """M^T v per node, summed over the rows of M in the order 0, 1, 2.
+
+    Equal bit for bit to ``np.einsum("...ik,...i->...k", m, v)``, without
+    einsum's generic loops.
+    """
+    out = np.empty(np.broadcast_shapes(m.shape[:-2], v.shape[:-1]) + (3,))
+    for k in range(3):
+        out[..., k] = m[..., 0, k] * v[..., 0] + m[..., 1, k] * v[..., 1] + m[..., 2, k] * v[..., 2]
+    return out
+
+
 @dataclass(frozen=True)
 class SurfaceNodes:
     """Mid-surface data at fixed (theta, z) nodes.
@@ -84,7 +96,7 @@ class SurfaceNodes:
 
     def in_frame(self, v) -> Array:
         """Frame components E^T v of Euclidean vectors v at the nodes."""
-        return np.einsum("...ik,...i->...k", self.frame, v)
+        return _transpose_times(self.frame, v)
 
     def identity_partials(self, t, x) -> Array:
         """Coordinate partials of the frame components of the map x -> x.
@@ -99,8 +111,8 @@ class SurfaceNodes:
         dp_z = (c.a_z * (1.0 + t * c.kappa_z))[..., None] * e[..., 2]
         out = np.empty(x.shape + (3,))
         out[..., 0] = self.in_frame(e[..., 0])
-        out[..., 1] = self.in_frame(dp_th) + np.einsum("...ik,...i->...k", self.d_theta, x)
-        out[..., 2] = self.in_frame(dp_z) + np.einsum("...ik,...i->...k", self.d_z, x)
+        out[..., 1] = self.in_frame(dp_th) + _transpose_times(self.d_theta, x)
+        out[..., 2] = self.in_frame(dp_z) + _transpose_times(self.d_z, x)
         return out
 
 

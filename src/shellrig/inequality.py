@@ -101,8 +101,25 @@ def _require_rotation(rotation: Array) -> Array:
 
 def _residual(comp: Array, rotation: Array, grid: QuadratureGrid) -> Array:
     """y - R x on every node, from the frame components of y."""
+    # These stay einsum: it sums the contiguous j axis in its own order, so
+    # a sum written out term by term changes the last bit of the residual.
     y_e = np.einsum("...ij,...j->...i", grid.nodes.frame, comp)
     return y_e - np.einsum("ij,...j->...i", rotation, grid.identity.points)
+
+
+def _frame_conjugate(e: Array, r: Array) -> Array:
+    """E^T R E per node, summed over k then l in the order of
+    ``np.einsum("...ki,kl,...lj->...ij", e, r, e)``, which it equals bit for bit.
+
+    The sum runs on a component-major copy of E, so every term is one
+    contiguous pass; the result is a (..., 3, 3) view of that layout.
+    """
+    ec = np.ascontiguousarray(np.moveaxis(e, (-2, -1), (0, 1)))
+    out = np.zeros(ec.shape)
+    for k in range(3):
+        for l in range(3):
+            out += (ec[k, :, None] * r[k, l]) * ec[l, None, :]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _best_fit_rotation(g: Array, grid: QuadratureGrid) -> Array:
@@ -159,8 +176,7 @@ def interpolation_sides(
     del resid
 
     dist_norm = lp_norm(dist_SO3(g), grid, p)
-    e = grid.nodes.frame
-    g -= np.einsum("...ki,kl,...lj->...ij", e, r, e)
+    g -= _frame_conjugate(grid.nodes.frame, r)
     lhs = lp_norm(g, grid, p) ** 2
     prod = field_norm * dist_norm / domain.h
     scale = grid.volume ** (2.0 / p)

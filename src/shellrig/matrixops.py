@@ -6,6 +6,14 @@ Newton step, and eigenvectors from a cyclic Jacobi diagonalization run to
 tolerance 1e-12.  Everything is vectorized over a leading batch shape and
 pure, so concurrent use is safe.
 
+The eigenvalue kernel works component-major: it takes the nine entries of
+the matrices as separate contiguous arrays.  ``dist_SO3`` walks its batch
+in blocks of ``_DIST_BLOCK`` matrices and writes each block into one
+preallocated output, so beyond its 8 bytes per matrix of output (and the
+one-byte-per-entry finiteness mask) its temporaries stay at a few MB
+whatever the batch size.  The blocks do not change the bits: each matrix
+goes through the same operations as in a single call.
+
 Matrix norms are Frobenius throughout.
 """
 
@@ -16,6 +24,7 @@ import warnings
 import numpy as np
 
 JACOBI_TOL = 1e-12
+_DIST_BLOCK = 4096  # matrices per block of dist_SO3
 _DEGENERATE_GAP = 1e-8
 
 
@@ -32,60 +41,74 @@ def _check_finite(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def det3(f: np.ndarray) -> np.ndarray:
-    """Determinant of a batch of 3x3 matrices."""
-    f = np.asarray(f, dtype=float)
+def _det(m) -> np.ndarray:
+    """Determinant from entry arrays: ``m[i][j]`` is entry (i, j) of every matrix."""
     return (
-        f[..., 0, 0] * (f[..., 1, 1] * f[..., 2, 2] - f[..., 1, 2] * f[..., 2, 1])
-        - f[..., 0, 1] * (f[..., 1, 0] * f[..., 2, 2] - f[..., 1, 2] * f[..., 2, 0])
-        + f[..., 0, 2] * (f[..., 1, 0] * f[..., 2, 1] - f[..., 1, 1] * f[..., 2, 0])
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
 
-def sym_eigvals_3x3(b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of symmetric 3x3 matrices, descending.
+def _entries(f: np.ndarray) -> np.ndarray:
+    """Component-major copy of a batch of 3x3 matrices: shape (3, 3, ...)."""
+    return np.ascontiguousarray(np.moveaxis(f, (-2, -1), (0, 1)))
+
+
+def det3(f: np.ndarray) -> np.ndarray:
+    """Determinant of a batch of 3x3 matrices."""
+    f = np.asarray(f, dtype=float)
+    return _det(np.moveaxis(f, (-2, -1), (0, 1)))
+
+
+def _eigvals(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) of symmetric 3x3 matrices given as entry arrays ``b[i][j]``.
 
     Closed-form (trigonometric) roots of the characteristic cubic, then one
     Newton step on the polynomial where the spectrum is well separated.
     """
-    b = np.asarray(b, dtype=float)
-    q = (b[..., 0, 0] + b[..., 1, 1] + b[..., 2, 2]) / 3.0
-    p1 = b[..., 0, 1] ** 2 + b[..., 0, 2] ** 2 + b[..., 1, 2] ** 2
-    p2 = (
-        (b[..., 0, 0] - q) ** 2
-        + (b[..., 1, 1] - q) ** 2
-        + (b[..., 2, 2] - q) ** 2
-        + 2.0 * p1
-    )
+    q = (b[0][0] + b[1][1] + b[2][2]) / 3.0
+    p1 = b[0][1] ** 2 + b[0][2] ** 2 + b[1][2] ** 2
+    p2 = (b[0][0] - q) ** 2 + (b[1][1] - q) ** 2 + (b[2][2] - q) ** 2 + 2.0 * p1
     scale = np.maximum(np.abs(q) + np.sqrt(np.maximum(p2, 0.0)), 1e-300)
     p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
     safe_p = np.where(p > 0, p, 1.0)
 
-    eye = np.eye(3)
-    a = (b - q[..., None, None] * eye) / safe_p[..., None, None]
-    r = np.clip(det3(a) / 2.0, -1.0, 1.0)
+    a = [[(b[i][j] - q if i == j else b[i][j]) / safe_p for j in range(3)] for i in range(3)]
+    r = np.clip(_det(a) / 2.0, -1.0, 1.0)
+    del a
     phi = np.arccos(r) / 3.0
 
     lam1 = q + 2.0 * p * np.cos(phi)
     lam3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     lam2 = 3.0 * q - lam1 - lam3
-    lam = np.stack([lam1, lam2, lam3], axis=-1)
 
     # Newton polish on p(x) = x^3 - c2 x^2 + c1 x - c0; skipped where p' is
     # small (nearly multiple eigenvalues, where the closed form is already fine).
     c2 = 3.0 * q
-    c1 = (
-        b[..., 0, 0] * b[..., 1, 1]
-        + b[..., 0, 0] * b[..., 2, 2]
-        + b[..., 1, 1] * b[..., 2, 2]
-        - p1
+    c1 = b[0][0] * b[1][1] + b[0][0] * b[2][2] + b[1][1] * b[2][2] - p1
+    c0 = _det(b)
+    two_c2 = 2.0 * c2
+    small = 1e-6 * scale**2
+    lam = []
+    for x in (lam1, lam2, lam3):
+        fx = ((x - c2) * x + c1) * x - c0
+        dfx = (3.0 * x - two_c2) * x + c1
+        ok = np.abs(dfx) > small
+        lam.append(x - np.where(ok, fx / np.where(ok, dfx, 1.0), 0.0))
+    # a sorting network; on finite values it picks what np.sort would
+    lo01, hi01 = np.minimum(lam[0], lam[1]), np.maximum(lam[0], lam[1])
+    return (
+        np.maximum(hi01, lam[2]),
+        np.maximum(lo01, np.minimum(hi01, lam[2])),
+        np.minimum(lo01, lam[2]),
     )
-    c0 = det3(b)
-    fx = ((lam - c2[..., None]) * lam + c1[..., None]) * lam - c0[..., None]
-    dfx = (3.0 * lam - 2.0 * c2[..., None]) * lam + c1[..., None]
-    ok = np.abs(dfx) > 1e-6 * scale[..., None] ** 2
-    lam = lam - np.where(ok, fx / np.where(ok, dfx, 1.0), 0.0)
-    return np.sort(lam, axis=-1)[..., ::-1]
+
+
+def sym_eigvals_3x3(b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of symmetric 3x3 matrices, descending (see ``_eigvals``)."""
+    b = np.asarray(b, dtype=float)
+    return np.stack(_eigvals(_entries(b)), axis=-1)
 
 
 def jacobi_eigh_3x3(b: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 24):
@@ -138,12 +161,15 @@ def jacobi_eigh_3x3(b: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 24
     return vals, vecs
 
 
+def _singular_values(f: np.ndarray) -> list[np.ndarray]:
+    """Singular values (s1, s2, s3), descending, of finite 3x3 matrices."""
+    b = np.swapaxes(f, -1, -2) @ f
+    return [np.sqrt(np.maximum(lam, 0.0)) for lam in _eigvals(_entries(b))]
+
+
 def singular_values_3x3(f: np.ndarray) -> np.ndarray:
     """Singular values of 3x3 matrices, descending."""
-    f = _check_finite(f)
-    b = np.swapaxes(f, -1, -2) @ f
-    lam = np.maximum(sym_eigvals_3x3(b), 0.0)
-    return np.sqrt(lam)
+    return np.stack(_singular_values(_check_finite(f)), axis=-1)
 
 
 def dist_SO3(f: np.ndarray) -> np.ndarray:
@@ -151,14 +177,20 @@ def dist_SO3(f: np.ndarray) -> np.ndarray:
 
     With singular values s1 >= s2 >= s3 the squared distance is
     (s1-1)^2 + (s2-1)^2 + (s3-1)^2 for nonnegative determinant and
-    (s1-1)^2 + (s2-1)^2 + (s3+1)^2 otherwise.
+    (s1-1)^2 + (s2-1)^2 + (s3+1)^2 otherwise.  The batch is evaluated in
+    blocks of ``_DIST_BLOCK`` matrices written into one output array.
     """
     f = _check_finite(f)
-    s = singular_values_3x3(f)
-    neg = det3(f) < 0
-    last = np.where(neg, s[..., 2] + 1.0, s[..., 2] - 1.0)
-    d2 = (s[..., 0] - 1.0) ** 2 + (s[..., 1] - 1.0) ** 2 + last**2
-    return np.sqrt(np.maximum(d2, 0.0))
+    flat = f.reshape(-1, 3, 3)
+    out = np.empty(flat.shape[0])
+    for lo in range(0, flat.shape[0], _DIST_BLOCK):
+        block = flat[lo : lo + _DIST_BLOCK]
+        s1, s2, s3 = _singular_values(block)
+        neg = _det(np.moveaxis(block, (-2, -1), (0, 1))) < 0
+        last = np.where(neg, s3 + 1.0, s3 - 1.0)
+        d2 = (s1 - 1.0) ** 2 + (s2 - 1.0) ** 2 + last**2
+        out[lo : lo + _DIST_BLOCK] = np.sqrt(np.maximum(d2, 0.0))
+    return out.reshape(f.shape[:-2])
 
 
 def svd3(f: np.ndarray):

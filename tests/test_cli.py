@@ -212,3 +212,41 @@ def test_default_outdir_env(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["sweep", *FAST_SWEEP]) == 0
     assert (tmp_path / "envout" / "sweep" / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, summary, failure",
+    [
+        (["trace", "--profile", "bump", "--h", "1e-2", "--field", "random:1", "--amplitude", "1e300",
+          "--nt", "2", "--ntheta", "16", "--nz", "16"], "trace.json", "values must be finite"),
+        (["check-gradient", "--step", "1e-320", "--points", "5"], "gradient_check.json", "Singular matrix"),
+        (["doubling", "--surface", "plate", "--centers", "1", "--num-r", "2", "--r-min", "1e-300",
+          "--budget", "1000"], "doubling.json", "empty intersection"),
+    ],
+    ids=["trace", "check-gradient", "doubling"],
+)
+def test_numerical_failure_in_a_run_is_a_failed_verdict(tmp_path, argv, summary, failure):
+    # a failure inside the run writes the four files and exits 1, as a failed sweep does
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        assert run([*argv, "--out", str(out)]) == 1
+    assert len(list(out.iterdir())) == 4
+    assert failure in json.loads((out / summary).read_text())["failure"]
+    assert "FAIL" in (out / "verdict.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["check-gradient", "--points", "0"], "--points"),
+        (["check-gradient", "--step", "1e-2"], "--step"),
+        (["doubling", "--centers", "0"], "--centers"),
+        (["doubling", "--budget", "-1"], "--budget"),
+        (["trace", "--amplitude", "-1"], "amplitude"),
+    ],
+)
+def test_bad_flags_exit_2_before_any_file(tmp_path, capsys, argv, named):
+    out = tmp_path / "run"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,20 @@ def test_quasi_uniform_rotations_deterministic_and_valid():
     eye = np.einsum("nij,nkj->nik", a, a)
     assert np.abs(eye - np.eye(3)).max() < 1e-12
     assert np.abs(mo.det3(a) - 1.0).max() < 1e-12
+
+
+def test_dist_memory_is_bounded_and_blocking_is_invisible():
+    # the temporaries of dist_SO3 must not grow with the batch: at 200k
+    # matrices the traced peak stays within the output plus a fixed 8 MB
+    f = np.eye(3) + 1e-2 * np.random.default_rng(7).normal(size=(200_000, 3, 3))
+    tracemalloc.start()
+    try:
+        d = mo.dist_SO3(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d.nbytes + 8 * 2**20
+    # blocks do not change a bit: any slicing of the batch gives the same values
+    parts = [mo.dist_SO3(f[lo : lo + 3001]) for lo in range(0, f.shape[0], 3001)]
+    assert np.array_equal(d, np.concatenate(parts))
+    assert np.array_equal(mo.dist_SO3(f.reshape(400, 500, 3, 3)), d.reshape(400, 500))
