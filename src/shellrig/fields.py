@@ -276,6 +276,22 @@ def displacement_to_deformation(
     )
 
 
+def _mode_sum(terms: Array) -> Array:
+    """Sum of (modes, 3, ...) terms over modes, as a (..., 3) view of a (3, ...) array.
+
+    It adds in the order of ``np.sum`` along a contiguous modes axis: in
+    sequence from zero below 8 modes, and numpy's own pairwise sum (on a
+    modes-last copy) from 8 modes on.
+    """
+    if len(terms) >= 8:
+        acc = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
+    else:
+        acc = np.zeros(terms.shape[1:])
+        for term in terms:
+            acc += term
+    return acc.transpose((*range(1, acc.ndim), 0))
+
+
 def random_smooth_field(
     seed: int, amplitude: float, mode_count: int, surface: ParamSurface
 ) -> FrameField:
@@ -289,6 +305,15 @@ def random_smooth_field(
     products broadcast to every node.  The output has the broadcast shape
     of the arguments plus (3,) for ``components`` and (3, 3) for
     ``partials``.
+
+    Evaluation is mode-major: the mode and component axes lead every array,
+    so each product is one long pass over the nodes instead of many short
+    (3, modes) ones.  The factors of a term are multiplied in a fixed order
+    into one reused (modes, 3, ...) buffer, and ``_mode_sum`` adds the modes
+    in ``np.sum``'s order: in sequence, ((m0 + m1) + m2) + ..., below 8
+    modes, as the old (..., 3, modes) layout did.  ``components`` is returned
+    C-contiguous, because reductions such as ``inequality._residual``'s
+    einsum sum in an order that follows the memory layout of their input.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
@@ -301,26 +326,42 @@ def random_smooth_field(
     w_th = (np.pi / (t1 - t0)) * rng.integers(0, 3, (3, mode_count))
     w_z = (np.pi / (z1 - z0)) * rng.integers(0, 3, (3, mode_count))
     phase = rng.uniform(0.0, 2.0 * np.pi, (3, mode_count, 3))
+    # (modes, 3) from here on; a call lifts them to the rank of its nodes with ``lift``
+    coef, w_t, w_th, w_z = coef.T, w_t.T, w_th.T, w_z.T
+    ph_t, ph_th, ph_z = phase.transpose(2, 1, 0)
 
     def angles(t, theta, z):
-        # (..., 3, modes) per argument, broadcast only by the products
-        at = _arr(t)[..., None, None] * w_t + phase[..., 0]
-        ath = (_arr(theta)[..., None, None] - t0) * w_th + phase[..., 1]
-        az = (_arr(z)[..., None, None] - z0) * w_z + phase[..., 2]
-        return at, ath, az
+        # (modes, 3, ...) angles per argument, broadcast only by the products
+        t, theta, z = _arr(t), _arr(theta), _arr(z)
+        shape = np.broadcast(t, theta, z).shape
+        lift = (...,) + (None,) * len(shape)
+        at = t * w_t[lift]
+        at += ph_t[lift]
+        ath = (theta - t0) * w_th[lift]
+        ath += ph_th[lift]
+        az = (z - z0) * w_z[lift]
+        az += ph_z[lift]
+        return shape, lift, at, ath, az
 
     def comp(t, theta, z):
-        at, ath, az = angles(t, theta, z)
-        return np.sum(coef * np.cos(at) * np.cos(ath) * np.cos(az), axis=-1)
+        shape, lift, at, ath, az = angles(t, theta, z)
+        terms = np.multiply(coef[lift], np.cos(at, out=at), out=np.empty((mode_count, 3) + shape))
+        terms *= np.cos(ath)
+        terms *= np.cos(az)
+        return np.ascontiguousarray(_mode_sum(terms))
 
     def par(t, theta, z):
-        at, ath, az = angles(t, theta, z)
-        ct, cth, cz = np.cos(at), np.cos(ath), np.cos(az)
+        shape, lift, at, ath, az = angles(t, theta, z)
         st, sth, sz = np.sin(at), np.sin(ath), np.sin(az)
-        out = np.empty(np.broadcast_shapes(np.shape(t), np.shape(theta), np.shape(z)) + (3, 3))
-        out[..., 0] = np.sum(-coef * w_t * st * cth * cz, axis=-1)
-        out[..., 1] = np.sum(-coef * w_th * ct * sth * cz, axis=-1)
-        out[..., 2] = np.sum(-coef * w_z * ct * cth * sz, axis=-1)
+        ct, cth, cz = np.cos(at, out=at), np.cos(ath), np.cos(az)
+        out = np.empty(shape + (3, 3))
+        terms = np.empty((mode_count, 3) + shape)
+        factors = ((w_t, st, cth, cz), (w_th, ct, sth, cz), (w_z, ct, cth, sz))
+        for j, (w, a, b, d) in enumerate(factors):
+            np.multiply((-coef * w)[lift], a, out=terms)
+            terms *= b
+            terms *= d
+            out[..., j] = _mode_sum(terms)
         return out
 
     return FrameField(

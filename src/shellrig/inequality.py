@@ -23,7 +23,7 @@ import numpy as np
 from .fields import FrameField, gradient_from_partials, on_grid
 from .fields import frame_gradient  # noqa: F401  (tools bind inequality.frame_gradient)
 from .geometry import ThinDomain, embed  # noqa: F401  (re-exported: tools bind inequality.embed)
-from .matrixops import dist_SO3, nearest_rotation
+from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, lp_norm, weighted_mean
 
 Array = np.ndarray
@@ -107,25 +107,9 @@ def _residual(comp: Array, rotation: Array, grid: QuadratureGrid) -> Array:
     return y_e - np.einsum("ij,...j->...i", rotation, grid.identity.points)
 
 
-def _frame_conjugate(e: Array, r: Array) -> Array:
-    """E^T R E per node, summed over k then l in the order of
-    ``np.einsum("...ki,kl,...lj->...ij", e, r, e)``, which it equals bit for bit.
-
-    The sum runs on a component-major copy of E, so every term is one
-    contiguous pass; the result is a (..., 3, 3) view of that layout.
-    """
-    ec = np.ascontiguousarray(np.moveaxis(e, (-2, -1), (0, 1)))
-    out = np.zeros(ec.shape)
-    for k in range(3):
-        for l in range(3):
-            out += (ec[k, :, None] * r[k, l]) * ec[l, None, :]
-    return np.moveaxis(out, (0, 1), (-2, -1))
-
-
 def _best_fit_rotation(g: Array, grid: QuadratureGrid) -> Array:
     """Nearest rotation to the volume mean of the Euclidean gradient E g E^T."""
-    e = grid.nodes.frame
-    ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+    ge = conjugate_3x3(grid.nodes.frame, g)
     return nearest_rotation(weighted_mean(ge, grid), warn_degenerate=False)
 
 
@@ -176,7 +160,7 @@ def interpolation_sides(
     del resid
 
     dist_norm = lp_norm(dist_SO3(g), grid, p)
-    g -= _frame_conjugate(grid.nodes.frame, r)
+    g -= conjugate_3x3(np.swapaxes(grid.nodes.frame, -1, -2), r)  # E^T R E
     lhs = lp_norm(g, grid, p) ** 2
     prod = field_norm * dist_norm / domain.h
     scale = grid.volume ** (2.0 / p)

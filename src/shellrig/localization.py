@@ -19,7 +19,7 @@ from .fields import FrameField, gradient_from_partials, on_grid
 from .fields import frame_gradient  # noqa: F401  (tools bind localization.frame_gradient)
 from .geometry import ProfileError, ThicknessProfile, ThinDomain
 from .geometry import embed  # noqa: F401  (tools bind localization.embed)
-from .matrixops import dist_SO3, nearest_rotation
+from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, build_grid, lp_norm
 
 Array = np.ndarray
@@ -143,15 +143,24 @@ def _nodal(v: FrameField, grid: QuadratureGrid) -> tuple[Array, Array, Array]:
     frame varies over a patch, so a constant rotation can only be fitted
     there.  The result depends on v and the grid alone, so it is kept in
     ``grid.memo["nodal"]`` (see ``QuadratureGrid``) as read-only arrays.
+
+    A field too large for double precision fails here, as a ValueError,
+    before any patch reduction: numpy's floating-point warnings are silenced
+    for this evaluation only, and the gradient and its distance are checked
+    to be finite on every node.
     """
     hit = grid.memo.get("nodal")
     if hit is not None and hit[0] is v:
         return hit[1]
-    comp, par = on_grid(v, grid)
-    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs) + np.eye(3)
-    e = grid.nodes.frame
-    ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
-    out = (comp, ge, dist_SO3(ge))
+    with np.errstate(all="ignore"):
+        comp, par = on_grid(v, grid)
+        g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs) + np.eye(3)
+        del par
+        ge = conjugate_3x3(grid.nodes.frame, g)
+        dist = dist_SO3(ge) if np.all(np.isfinite(ge)) else None
+    if dist is None or not np.all(np.isfinite(dist)):
+        raise ValueError("values must be finite on all grid nodes")
+    out = (comp, ge, dist)
     for a in out:
         a.flags.writeable = False
     grid.memo["nodal"] = (v, out)

@@ -61,6 +61,29 @@ def det3(f: np.ndarray) -> np.ndarray:
     return _det(np.moveaxis(f, (-2, -1), (0, 1)))
 
 
+def conjugate_3x3(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a g a^T per matrix, for batches of 3x3 matrices that broadcast.
+
+    Each entry (i, j) sums the nine terms (a_ik * g_kl) * a_jl in k-major
+    order, (k, l) = (0, 0), (0, 1), ..., (2, 2), starting from zero: the
+    order of ``np.einsum("...ik,...kl,...jl->...ij", a, g, a)``, which it
+    equals bit for bit (an l-major or per-k partial sum does not).  The
+    terms run component-major, on a copy of ``a`` and on strided views of
+    ``g``, so each is one pass over the batch instead of einsum's generic
+    loops; the result is C-contiguous (..., 3, 3).
+    """
+    # ak[k, i] = a_ik, so both factors of a term are contiguous (3, ...) blocks
+    a, g = np.asarray(a, dtype=float), np.asarray(g, dtype=float)
+    ak = np.ascontiguousarray(a.transpose((a.ndim - 1, a.ndim - 2, *range(a.ndim - 2))))
+    batch = np.broadcast(ak[0, 0], g[..., 0, 0]).shape
+    ak = ak.reshape((3, 3) + (1,) * (len(batch) + 2 - ak.ndim) + ak.shape[2:])
+    out = np.zeros((3, 3) + batch)
+    for k in range(3):
+        for l in range(3):
+            out += (ak[k, :, None] * g[..., k, l]) * ak[l, None, :]
+    return np.ascontiguousarray(out.transpose((*range(2, out.ndim), 0, 1)))
+
+
 def _eigvals(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues (descending) of symmetric 3x3 matrices given as entry arrays ``b[i][j]``.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -93,16 +93,33 @@ class QuadratureGrid:
         return self.t, th, zz
 
 
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[Array, Array]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as read-only (nodes, weights)."""
+    rule = roots_legendre(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def build_grid(domain: ThinDomain, resolution: tuple[int, int, int]) -> QuadratureGrid:
-    """Tensor-product Gauss-Legendre grid; t spans (-g1, g2) per column."""
+    """Tensor-product Gauss-Legendre grid; t spans (-g1, g2) per column.
+
+    The 1-d rules depend on the node count alone, so ``_gauss_legendre``
+    keeps up to 64 of them for the life of the process: ``roots_legendre``
+    takes about 11 ms at n = 506, and a sweep, repeated CLI calls in one
+    process and a test session ask for the same counts again and again.
+    The cached arrays are read-only, so every grid sees the fresh rule's
+    values.
+    """
     nt, nth, nz = (int(n) for n in resolution)
     if min(nt, nth, nz) < 2:
         raise ValueError("every grid dimension needs at least 2 nodes")
     t0, t1, z0, z1 = domain.surface.domain
 
-    xt, wt = roots_legendre(nt)
-    xth, wth = roots_legendre(nth)
-    xz, wz = roots_legendre(nz)
+    xt, wt = _gauss_legendre(nt)
+    xth, wth = _gauss_legendre(nth)
+    xz, wz = _gauss_legendre(nz)
 
     theta = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * xth
     z = 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * xz

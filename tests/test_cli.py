@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,25 @@ def test_numerical_failure_in_a_run_is_a_failed_verdict(tmp_path, argv, summary,
     assert len(list(out.iterdir())) == 4
     assert failure in json.loads((out / summary).read_text())["failure"]
     assert "FAIL" in (out / "verdict.txt").read_text()
+
+
+@pytest.mark.parametrize("profile", ["shell", "bump"])
+def test_overflowing_trace_fails_cleanly(tmp_path, profile):
+    # no np.errstate here: the run itself must keep numpy quiet
+    out = tmp_path / "run"
+    argv = ["trace", "--profile", profile, "--h", "1e-2", "--field", "random:1", "--amplitude", "1e300",
+            "--nt", "2", "--ntheta", "16", "--nz", "16", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    assert len(list(out.iterdir())) == 4
+
+    def reject(name):
+        raise ValueError(f"trace.json holds {name}")
+
+    summary = json.loads((out / "trace.json").read_text(), parse_constant=reject)
+    assert "values must be finite" in summary["failure"]
 
 
 @pytest.mark.parametrize(

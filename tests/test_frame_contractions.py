@@ -1,15 +1,16 @@
 """The frame contractions equal the einsum formulas they replaced, bit for bit.
 
 The references below are the einsum expressions ``SurfaceNodes.in_frame``,
-``SurfaceNodes.identity_partials`` and the E^T R E term of
-``interpolation_sides`` used before they were written as explicit sums.
+``SurfaceNodes.identity_partials``, the E^T R E term of
+``interpolation_sides`` and the E g E^T of ``localization._nodal`` and
+``inequality._best_fit_rotation`` used before they were written as explicit
+sums (``matrixops.conjugate_3x3``).
 """
 
 import numpy as np
 import pytest
 
 from shellrig import geometry as geo
-from shellrig import inequality as ineq
 from shellrig import matrixops as mo
 from shellrig import norms as nm
 
@@ -65,4 +66,27 @@ def test_identity_partials_match_einsum(grid):
 def test_frame_conjugate_matches_einsum(grid):
     e = grid.nodes.frame
     for r in mo.random_rotation(np.random.default_rng(3), 4):
-        _same(ineq._frame_conjugate(e, r), np.einsum("...ki,kl,...lj->...ij", e, r, e))
+        _same(mo.conjugate_3x3(np.swapaxes(e, -1, -2), r), np.einsum("...ki,kl,...lj->...ij", e, r, e))
+
+
+def _conjugate_einsum(e, g):
+    return np.einsum("...ik,...kl,...jl->...ij", e, g, e)
+
+
+def test_gradient_conjugate_matches_einsum(grid):
+    # 2-d frames against 3-d gradients, as in _nodal and _best_fit_rotation
+    rng = np.random.default_rng(5)
+    e = grid.nodes.frame
+    scale = 10.0 ** rng.uniform(-8, 3, size=grid.resolution + (1, 1))
+    for g in (rng.normal(size=grid.resolution + (3, 3)) * scale, np.eye(3) + 1e-3 * scale):
+        out = mo.conjugate_3x3(e, g)
+        assert out.flags.c_contiguous
+        _same(out, _conjugate_einsum(e, g))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (4, 9), (2, 6, 6)])
+def test_gradient_conjugate_matches_einsum_on_patch_batches(batch):
+    rng = np.random.default_rng(9)
+    e = mo.random_rotation(rng, max(1, int(np.prod(batch)))).reshape(batch + (3, 3))
+    g = rng.normal(size=batch + (3, 3))
+    _same(mo.conjugate_3x3(e, g), _conjugate_einsum(e, g))

@@ -63,6 +63,25 @@ def test_grid_rejects_tiny_resolution():
         nm.build_grid(dom, (1, 8, 8))
 
 
+def test_gauss_legendre_rule_is_computed_once_per_node_count(monkeypatch):
+    calls = []
+    roots = nm.roots_legendre
+    monkeypatch.setattr(nm, "roots_legendre", lambda n: calls.append(n) or roots(n))
+    nm._gauss_legendre.cache_clear()
+    s = geo.make_surface("sphere")
+    domain = geo.ThinDomain(s, geo.make_profile("bump", 0.05, s))
+    a = nm.build_grid(domain, (3, 21, 21))
+    b = nm.build_grid(domain, (3, 21, 21))
+    assert sorted(calls) == [3, 21]
+    assert a.t.tobytes() == b.t.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+    for n in (3, 21):
+        nodes, weights = nm._gauss_legendre(n)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        fresh = roots(n)
+        assert nodes.tobytes() == fresh[0].tobytes() and weights.tobytes() == fresh[1].tobytes()
+    assert sorted(calls) == [3, 21]
+
+
 def test_domain_construction_catches_degeneracy():
     s = geo.make_surface("sphere")
     prof = geo.ThicknessProfile(
