@@ -90,6 +90,7 @@ def fit_exponent(pairs) -> ScalingFit:
     )
 
 
+CHUNK_NODES = 2048  # grid nodes times seeds of one battery chunk (see _sweep)
 EPS_RULES = ("h", "h2", "fixed")  # read by SweepConfig.epsilon
 ROTATION_MODES = ("identity", "best-fit")  # read by _single_report
 OFFSET_MODES = ("mean", "zero")  # read by _single_report
@@ -201,15 +202,18 @@ def _field(config: SweepConfig, grid: nm.QuadratureGrid, spec: str, profile: fl.
     )
 
 
-def _single_report(
-    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile: fl.AnsatzProfile
-):
-    """One interpolation report of one field on a grid shared by the battery.
+def _metas(eps: float, specs: list, grid: nm.QuadratureGrid) -> list:
+    return [{"epsilon": eps, "field": spec, "grid": grid.resolution} for spec in specs]
 
-    A rigid motion (identity included) is compared against itself; a
-    displacement u enters as x + eps*u.
+
+def _single_report(config: SweepConfig, grid: nm.QuadratureGrid, eps: float, specs: list, y: fl.FrameField):
+    """Interpolation report of a field on a grid shared by the battery.
+
+    ``y`` is the field of the one spec in ``specs``, or the battery seeds of
+    ``specs`` stacked (``random_smooth_field`` of their seeds), which give a
+    list of reports, one per seed.  A rigid motion (identity included) is
+    compared against itself; a displacement u enters as x + eps*u.
     """
-    y = _field(config, grid, field_spec, profile)
     if y.kind == "displacement":
         y = fl.displacement_to_deformation(grid.domain.surface, y, eps)
         rot, off = np.eye(3), ("mean" if config.offset_mode == "mean" else np.zeros(3))
@@ -217,20 +221,12 @@ def _single_report(
         rot, off = y.motion
     if config.rotation_mode == "best-fit":
         rot = "best-fit"
-    return ineq.interpolation_sides(
-        y, rot, off, grid.domain, grid, config.p,
-        meta={"epsilon": eps, "field": field_spec, "grid": grid.resolution},
-    )
+    return ineq.interpolation_sides(y, rot, off, grid.domain, grid, config.p, meta=_metas(eps, specs, grid))
 
 
-def _korn_report(
-    config: SweepConfig, grid: nm.QuadratureGrid, eps: float, field_spec: str, profile: fl.AnsatzProfile
-):
-    """One linearized report of one displacement on a grid shared by the battery."""
-    return ineq.korn_linear_sides(
-        _field(config, grid, field_spec, profile), grid.domain, grid, config.p,
-        meta={"epsilon": eps, "field": field_spec, "grid": grid.resolution},
-    )
+def _korn_report(config: SweepConfig, grid: nm.QuadratureGrid, eps: float, specs: list, u: fl.FrameField):
+    """Linearized report of a displacement, or the list of reports of stacked seeds (see _single_report)."""
+    return ineq.korn_linear_sides(u, grid.domain, grid, config.p, meta=_metas(eps, specs, grid))
 
 
 def _row_from(rep, resolution, h, eps) -> dict:
@@ -285,23 +281,44 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
     seed of a battery; the grid, with its cache, is dropped when its h is
     done.  A battery keeps the largest finite ratio; non-finite reports are
     skipped, and an h where every seed is non-finite fails.
+
+    A battery's fields do not depend on h: they are drawn once per sweep as
+    stacked fields of ``max(1, CHUNK_NODES // nodes per grid)`` seeds each,
+    and one report call evaluates a chunk in one pass over its nodes.  The
+    reductions stay per seed, so each report keeps the bits of its seed
+    alone (one ``np.sum`` over a stack adds in another order and moves last
+    bits), and a grid above the budget gets one seed per chunk, so a fine
+    battery needs no more memory than one report.
     """
     config.validate()
     surface = geo.make_surface(config.surface, **config.surface_params)
     battery = config.field == "random"
-    specs = [f"random:{seed}" for seed in range(config.seeds)] if battery else [config.field]
     profile = fl.default_ansatz_profile(surface)
+    if battery:
+        # a battery's grid does not adapt to h (see _resolution_for)
+        size = max(1, CHUNK_NODES // (config.nt * config.ntheta * config.nz))
+        parts = [range(lo, min(lo + size, config.seeds)) for lo in range(0, config.seeds, size)]
+        chunks = [
+            ([f"random:{seed}" for seed in part],
+             fl.random_smooth_field(part, config.amplitude, config.modes, surface))
+            for part in parts
+        ]
 
     def work(h: float):
         domain = geo.ThinDomain(surface, geo.make_profile(config.profile, h, surface))
         grid = nm.build_grid(domain, _resolution_for(config, domain))
         eps = epsilon(h)
-        reps = [report(config, grid, eps, spec, profile) for spec in specs]
-        if not battery:
-            return h, eps, reps[0], grid.resolution
+        # an overflow fails on the finiteness checks of the norms and of
+        # dist_SO3, so numpy's floating-point warnings would only add noise
+        with np.errstate(all="ignore"):
+            if not battery:
+                rep = report(config, grid, eps, [config.field], _field(config, grid, config.field, profile))
+                return h, eps, rep, grid.resolution
+            reps = [rep for specs, field in chunks for rep in report(config, grid, eps, specs, field)]
         finite = [rep for rep in reps if math.isfinite(rep.ratio)]
         if not finite:
-            raise SweepError(f"no battery seed gave a finite ratio (seeds {', '.join(specs)})")
+            seeds = ", ".join(f"random:{seed}" for seed in range(config.seeds))
+            raise SweepError(f"no battery seed gave a finite ratio (seeds {seeds})")
         # max keeps the first of equal ratios, i.e. the lowest seed
         return h, eps, max(finite, key=lambda rep: rep.ratio), grid.resolution
 

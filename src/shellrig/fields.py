@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,7 +90,8 @@ def frame_gradient(field: FrameField, surface: ParamSurface, t, theta, z) -> Arr
 def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients) -> Array:
     """``frame_gradient`` from evaluated components and partials.
 
-    ``coeffs`` may sit on the (theta, z) nodes alone; they broadcast over t.
+    ``coeffs`` may sit on the (theta, z) nodes alone; they broadcast over t,
+    and t over a leading seed axis of stacked ``comp`` and ``par``.
     """
     ath, az, kth, kz, athz, azth = coeffs
     fac_th = 1.0 + t * kth
@@ -101,7 +102,7 @@ def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients
     dz = az * fac_z
 
     yt, yth, yz = comp[..., 0], comp[..., 1], comp[..., 2]
-    g = np.empty(np.broadcast(t, ath).shape + (3, 3))
+    g = np.empty(np.broadcast(t, ath, yt).shape + (3, 3))
     g[..., 0, 0] = par[..., 0, 0]
     g[..., 1, 0] = par[..., 1, 0]
     g[..., 2, 0] = par[..., 2, 0]
@@ -293,7 +294,7 @@ def _mode_sum(terms: Array) -> Array:
 
 
 def random_smooth_field(
-    seed: int, amplitude: float, mode_count: int, surface: ParamSurface
+    seed: int | Sequence[int], amplitude: float, mode_count: int, surface: ParamSurface
 ) -> FrameField:
     """Deterministic truncated trigonometric displacement with analytic partials.
 
@@ -305,6 +306,14 @@ def random_smooth_field(
     products broadcast to every node.  The output has the broadcast shape
     of the arguments plus (3,) for ``components`` and (3, 3) for
     ``partials``.
+
+    A sequence of S seeds gives the S fields stacked: each seed makes the
+    draws of ``default_rng(seed)`` that it makes alone, the coefficient
+    arrays gain a trailing seed axis, and the outputs gain a leading one,
+    (S, ..., 3) and (S, ..., 3, 3).  Every node of every seed goes through
+    the operations of that seed evaluated alone, so slice s holds the bits
+    of ``random_smooth_field(seeds[s], ...)``; a sweep evaluates a battery's
+    seeds this way, one pass over the nodes for a chunk of seeds.
 
     Evaluation is mode-major: the mode and component axes lead every array,
     so each product is one long pass over the nodes instead of many short
@@ -319,19 +328,31 @@ def random_smooth_field(
         raise ValueError("amplitude must be nonnegative")
     if mode_count < 1:
         raise ValueError("mode_count must be at least 1")
-    rng = np.random.default_rng(seed)
     t0, t1, z0, z1 = surface.domain
-    coef = rng.uniform(-1.0, 1.0, (3, mode_count)) * (amplitude / mode_count)
-    w_t = np.pi * rng.integers(0, 3, (3, mode_count))
-    w_th = (np.pi / (t1 - t0)) * rng.integers(0, 3, (3, mode_count))
-    w_z = (np.pi / (z1 - z0)) * rng.integers(0, 3, (3, mode_count))
-    phase = rng.uniform(0.0, 2.0 * np.pi, (3, mode_count, 3))
-    # (modes, 3) from here on; a call lifts them to the rank of its nodes with ``lift``
-    coef, w_t, w_th, w_z = coef.T, w_t.T, w_th.T, w_z.T
-    ph_t, ph_th, ph_z = phase.transpose(2, 1, 0)
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        coef = rng.uniform(-1.0, 1.0, (3, mode_count)) * (amplitude / mode_count)
+        w_t = np.pi * rng.integers(0, 3, (3, mode_count))
+        w_th = (np.pi / (t1 - t0)) * rng.integers(0, 3, (3, mode_count))
+        w_z = (np.pi / (z1 - z0)) * rng.integers(0, 3, (3, mode_count))
+        phase = rng.uniform(0.0, 2.0 * np.pi, (3, mode_count, 3))
+        # (modes, 3) from here on: coef, w_t, w_th, w_z, then the t, theta and z phases
+        return (coef.T, w_t.T, w_th.T, w_z.T, *phase.transpose(2, 1, 0))
+
+    if isinstance(seed, (int, np.integer)):
+        lead = ()
+        coef, w_t, w_th, w_z, ph_t, ph_th, ph_z = draw(seed)
+    else:
+        lead = (len(seed),)
+        if not lead[0]:
+            raise ValueError("need at least one seed")
+        # (modes, 3, S): the seed axis sits between the modes and the nodes
+        coef, w_t, w_th, w_z, ph_t, ph_th, ph_z = map(np.dstack, zip(*map(draw, seed)))
 
     def angles(t, theta, z):
-        # (modes, 3, ...) angles per argument, broadcast only by the products
+        # (modes, 3, [S,] ...) angles per argument, broadcast only by the products;
+        # ``lift`` raises the drawn arrays to the rank of the nodes
         t, theta, z = _arr(t), _arr(theta), _arr(z)
         shape = np.broadcast(t, theta, z).shape
         lift = (...,) + (None,) * len(shape)
@@ -345,7 +366,7 @@ def random_smooth_field(
 
     def comp(t, theta, z):
         shape, lift, at, ath, az = angles(t, theta, z)
-        terms = np.multiply(coef[lift], np.cos(at, out=at), out=np.empty((mode_count, 3) + shape))
+        terms = np.multiply(coef[lift], np.cos(at, out=at), out=np.empty((mode_count, 3) + lead + shape))
         terms *= np.cos(ath)
         terms *= np.cos(az)
         return np.ascontiguousarray(_mode_sum(terms))
@@ -354,8 +375,8 @@ def random_smooth_field(
         shape, lift, at, ath, az = angles(t, theta, z)
         st, sth, sz = np.sin(at), np.sin(ath), np.sin(az)
         ct, cth, cz = np.cos(at, out=at), np.cos(ath), np.cos(az)
-        out = np.empty(shape + (3, 3))
-        terms = np.empty((mode_count, 3) + shape)
+        out = np.empty(lead + shape + (3, 3))
+        terms = np.empty((mode_count, 3) + lead + shape)
         factors = ((w_t, st, cth, cz), (w_th, ct, sth, cz), (w_z, ct, cth, sz))
         for j, (w, a, b, d) in enumerate(factors):
             np.multiply((-coef * w)[lift], a, out=terms)

@@ -99,24 +99,42 @@ def _require_rotation(rotation: Array) -> Array:
     return r
 
 
-def _residual(comp: Array, rotation: Array, grid: QuadratureGrid) -> Array:
-    """y - R x on every node, from the frame components of y."""
+def _residual(comp: Array, rotation, grid: QuadratureGrid) -> Array:
+    """y - R x on every node, from the frame components of y.
+
+    For a stack of fields (a leading seed axis on ``comp``) ``rotation`` is
+    one R for every seed or a list of one R per seed.
+    """
     # These stay einsum: it sums the contiguous j axis in its own order, so
     # a sum written out term by term changes the last bit of the residual.
     y_e = np.einsum("...ij,...j->...i", grid.nodes.frame, comp)
-    return y_e - np.einsum("ij,...j->...i", rotation, grid.identity.points)
-
-
-def _best_fit_rotation(g: Array, grid: QuadratureGrid) -> Array:
-    """Nearest rotation to the volume mean of the Euclidean gradient E g E^T."""
-    ge = conjugate_3x3(grid.nodes.frame, g)
-    return nearest_rotation(weighted_mean(ge, grid), warn_degenerate=False)
+    x = grid.identity.points
+    if isinstance(rotation, list):
+        for y_s, r in zip(y_e, rotation):
+            y_s -= np.einsum("ij,...j->...i", r, x)
+    else:
+        y_e -= np.einsum("ij,...j->...i", rotation, x)
+    return y_e
 
 
 def optimal_offset(y: FrameField, rotation: Array, domain: ThinDomain, grid: QuadratureGrid) -> Array:
     """Grid mean of y - R x, the L^2-optimal offset (used for all p)."""
     comp, _ = on_grid(y, grid)
     return weighted_mean(_residual(comp, np.asarray(rotation, dtype=float), grid), grid)
+
+
+def _stacked(comp: Array, par: Array, grid: QuadratureGrid, meta) -> tuple[Array, Array, list, bool]:
+    """comp and par with a seed axis (added for a lone field), one meta per seed, and whether it was there.
+
+    ``meta`` is a dict shared by every seed, or a list of one dict per seed.
+    """
+    stacked = comp.ndim > grid.t.ndim + 1
+    if not stacked:
+        comp, par = comp[None], par[None]
+    metas = meta if isinstance(meta, list) else [meta] * len(comp)
+    if len(metas) != len(comp):
+        raise ValueError(f"meta lists {len(metas)} dicts for {len(comp)} fields")
+    return comp, par, metas, stacked
 
 
 def interpolation_sides(
@@ -126,8 +144,8 @@ def interpolation_sides(
     domain: ThinDomain,
     grid: QuadratureGrid,
     p: float,
-    meta: dict | None = None,
-) -> InequalityReport:
+    meta: dict | list | None = None,
+) -> InequalityReport | list[InequalityReport]:
     """Evaluate every side of the interpolation inequality for a deformation.
 
     ``rotation`` is a matrix in SO(3), or "best-fit" for the nearest rotation
@@ -135,6 +153,15 @@ def interpolation_sides(
     zero, or "mean" for the L^2-optimal offset given the rotation.  The
     field's components and partials are evaluated once; x and the frame
     come from the cache of ``grid``, which must be a grid on ``domain``.
+
+    A field whose components carry a leading seed axis, (S, nt, ntheta, nz,
+    3) as ``random_smooth_field`` gives for S seeds, is S deformations at
+    once, and the result is a list of S reports; ``meta`` may then list one
+    dict per seed.  The nodal arrays (the gradient, E y, dist(grad y, SO(3))
+    and E^T R E for a fixed R) are computed once for the stack.  Every
+    reduction (offset, best-fit rotation, L^p norm) runs on one seed's
+    C-contiguous slice, as a lone seed's does, so each report has the bits
+    of its seed evaluated alone; one sum over the stack would move last bits.
     """
     if y.kind != "deformation":
         raise ValueError("interpolation sides need a deformation field")
@@ -143,31 +170,52 @@ def interpolation_sides(
     if isinstance(offset, str) and offset != "mean":
         raise ValueError("offset must be a 3-vector, None, or 'mean'")
 
-    # each 3-d array is dropped after its last use, which bounds peak memory
+    # each nodal array is dropped after its last use, which bounds peak memory
     comp, par = on_grid(y, grid)
+    comp, par, metas, stacked = _stacked(comp, par, grid, meta)
     g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
     del par
-    r = _require_rotation(_best_fit_rotation(g, grid) if isinstance(rotation, str) else rotation)
-
+    frame = grid.nodes.frame
+    if isinstance(rotation, str):
+        ge = conjugate_3x3(frame, g)  # the Euclidean gradient E g E^T
+        r = [_require_rotation(nearest_rotation(weighted_mean(m, grid), warn_degenerate=False)) for m in ge]
+        del ge
+    else:
+        r = _require_rotation(rotation)  # one rotation for the whole stack
     resid = _residual(comp, r, grid)
     del comp
-    if isinstance(offset, str):
-        b = weighted_mean(resid, grid)
-    else:
-        b = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
-    resid -= b
-    field_norm = lp_norm(resid, grid, p)
-    del resid
 
-    dist_norm = lp_norm(dist_SO3(g), grid, p)
-    g -= conjugate_3x3(np.swapaxes(grid.nodes.frame, -1, -2), r)  # E^T R E
-    lhs = lp_norm(g, grid, p) ** 2
-    prod = field_norm * dist_norm / domain.h
+    offsets, field_norms = [], []
+    for resid_s in resid:
+        if isinstance(offset, str):
+            b = weighted_mean(resid_s, grid)
+        else:
+            b = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
+        resid_s -= b
+        offsets.append(b)
+        field_norms.append(lp_norm(resid_s, grid, p))
+    del resid, resid_s  # the slice would keep the whole stack alive
+
+    dist = dist_SO3(g)
+    dist_norms = [lp_norm(d_s, grid, p) for d_s in dist]
+    del dist
+    frame_t = np.swapaxes(frame, -1, -2)
+    if isinstance(r, list):
+        for g_s, r_s in zip(g, r):
+            g_s -= conjugate_3x3(frame_t, r_s)  # E^T R E
+    else:
+        g -= conjugate_3x3(frame_t, r)
+    rots = r if isinstance(r, list) else [r] * len(g)
     scale = grid.volume ** (2.0 / p)
-    return _finalize(
-        lhs, prod, field_norm**2, dist_norm**2, p, domain.h, r, b, scale,
-        {"variant": "interpolation", **(meta or {})},
-    )
+    reports = []
+    for g_s, r_s, b, field_norm, dist_norm, m in zip(g, rots, offsets, field_norms, dist_norms, metas):
+        lhs = lp_norm(g_s, grid, p) ** 2
+        prod = field_norm * dist_norm / domain.h
+        reports.append(_finalize(
+            lhs, prod, field_norm**2, dist_norm**2, p, domain.h, r_s, b, scale,
+            {"variant": "interpolation", **(m or {})},
+        ))
+    return reports if stacked else reports[0]
 
 
 def korn_linear_sides(
@@ -175,24 +223,32 @@ def korn_linear_sides(
     domain: ThinDomain,
     grid: QuadratureGrid,
     p: float,
-    meta: dict | None = None,
-) -> InequalityReport:
-    """Linearized sides: gradient vs field norm and linear strain."""
+    meta: dict | list | None = None,
+) -> InequalityReport | list[InequalityReport]:
+    """Linearized sides: gradient vs field norm and linear strain.
+
+    A stacked field gives one report per seed, as in ``interpolation_sides``:
+    the gradient and strain once for the stack, the norms per seed.
+    """
     if u.kind != "displacement":
         raise ValueError("the linearized sides need a displacement field")
     comp, par = on_grid(u, grid)
+    comp, par, metas, stacked = _stacked(comp, par, grid, meta)
     g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
+    del par
     strain = 0.5 * (g + np.swapaxes(g, -1, -2))
-
-    field_norm = lp_norm(comp, grid, p)
-    strain_norm = lp_norm(strain, grid, p)
-    lhs = lp_norm(g, grid, p) ** 2
-    prod = field_norm * strain_norm / domain.h
     scale = grid.volume ** (2.0 / p)
-    return _finalize(
-        lhs, prod, field_norm**2, strain_norm**2, p, domain.h, None, None, scale,
-        {"variant": "korn", **(meta or {})},
-    )
+    reports = []
+    for c_s, s_s, g_s, m in zip(comp, strain, g, metas):
+        field_norm = lp_norm(c_s, grid, p)
+        strain_norm = lp_norm(s_s, grid, p)
+        lhs = lp_norm(g_s, grid, p) ** 2
+        prod = field_norm * strain_norm / domain.h
+        reports.append(_finalize(
+            lhs, prod, field_norm**2, strain_norm**2, p, domain.h, None, None, scale,
+            {"variant": "korn", **(m or {})},
+        ))
+    return reports if stacked else reports[0]
 
 
 # -- two-parameter balance form -----------------------------------------------------
@@ -240,14 +296,14 @@ def balance_form(
 def balance_exponent(field_norm: float, dist_norm: float, h: float) -> float:
     """Exponent equalizing the two balance terms, clamped to [0, 2].
 
-    Solves h^s = h * field_norm / dist_norm.
+    Solves h^s = h * field_norm / dist_norm; a NaN norm gives NaN.
     """
     if field_norm <= 0 or dist_norm <= 0:
         raise ValueError("balance exponent needs positive norms")
     if not 0 < h < 1:
         raise ValueError("h must lie in (0, 1)")
     s = 1.0 + math.log(field_norm / dist_norm) / math.log(h)
-    return min(2.0, max(0.0, s))
+    return 0.0 if s <= 0.0 else 2.0 if s >= 2.0 else s
 
 
 # -- expression-level equivalence of the two right-hand sides ------------------------
@@ -282,11 +338,7 @@ def equivalence_check(a: float, b: float, h: float) -> EquivalenceRecord:
     if a <= 0 or b <= 0 or not 0 < h < 1:
         raise ValueError("need a, b > 0 and h in (0, 1)")
     e1 = a * b / h + a * a + b * b
-    s_star = 1.0 + math.log(a / b) / math.log(h)
-    if s_star <= 0.0:
-        s_star = 0.0
-    elif s_star >= 2.0:
-        s_star = 2.0
+    s_star = balance_exponent(a, b, h)
     e2_star = a * a / h**s_star + b * b / h ** (2.0 - s_star)
     rel = 1e-12 * max(e1, e2_star)
     return EquivalenceRecord(

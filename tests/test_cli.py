@@ -255,6 +255,24 @@ def test_overflowing_trace_fails_cleanly(tmp_path, profile):
     assert "values must be finite" in summary["failure"]
 
 
+@pytest.mark.parametrize("field", [["--field", "random", "--seeds", "3"], ["--field", "random:1"]],
+                         ids=["battery", "single"])
+@pytest.mark.parametrize("command", ["sweep", "korn-sweep"])
+def test_overflowing_sweep_fails_cleanly(tmp_path, command, field):
+    # no np.errstate here: the run itself must keep numpy quiet
+    out = tmp_path / "run"
+    argv = [command, *field, "--amplitude", "1e300", "--num-h", "4", "--nt", "3", "--ntheta", "8", "--nz", "8",
+            "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    assert len(list(out.iterdir())) == 4
+    failure = "sweep failed at h=0.001: values must be finite on all grid nodes"
+    assert (out / "verdict.txt").read_text() == f"sweep: FAIL ({failure})\n"
+    assert json.loads((out / "fit.json").read_text())["config_echo"]["failure"] == failure
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

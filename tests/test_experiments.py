@@ -158,12 +158,11 @@ def _nan_for(seeds, orig):
     """A report function that records every ratio and makes the given seeds NaN."""
     seen = {}
 
-    def report(config, grid, eps, spec, cache):
-        rep = orig(config, grid, eps, spec, cache)
-        if spec in seeds:
-            rep = dataclasses.replace(rep, ratio=math.nan)
-        seen.setdefault(grid.domain.h, []).append(rep.ratio)
-        return rep
+    def report(config, grid, eps, specs, field):
+        reps = orig(config, grid, eps, specs, field)
+        reps = [dataclasses.replace(rep, ratio=math.nan) if spec in seeds else rep for spec, rep in zip(specs, reps)]
+        seen.setdefault(grid.domain.h, []).extend(rep.ratio for rep in reps)
+        return reps
 
     return report, seen
 

@@ -60,6 +60,7 @@ def test_each_report_evaluates_its_field_once(monkeypatch, sweep, report):
     random_field = fl.random_smooth_field
 
     def counted_field(*args, **kwargs):
+        counts["draws"] += 1
         f = random_field(*args, **kwargs)
         return dataclasses.replace(
             f, components=counted("components", f.components), partials=counted("partials", f.partials)
@@ -73,6 +74,7 @@ def test_each_report_evaluates_its_field_once(monkeypatch, sweep, report):
     res = sweep(ex.SweepConfig(field="random", num_h=4, seeds=3, h_min=1e-2, h_max=1e-1,
                                nt=4, ntheta=8, nz=8))
     assert len(res.rows) == 4
-    # 3 seeds x 4 h: one field evaluation per report, one grid and one
-    # frame evaluation (on the (theta, z) nodes) per h
-    assert counts == {"reports": 12, "components": 12, "partials": 12, "build_grid": 4, "frame": 4}
+    # 3 seeds x 4 h: the seeds are drawn once per sweep as one stacked field,
+    # and each h makes one report call, one field evaluation, one grid and one
+    # frame evaluation (on the (theta, z) nodes) for all three seeds
+    assert counts == {"draws": 1, "reports": 4, "components": 4, "partials": 4, "build_grid": 4, "frame": 4}
