@@ -32,32 +32,69 @@ from . import matrixops as mo
 from . import norms as nm
 
 ENV_OUTDIR = "SHELLRIG_OUT"
+_WRITE_BY_DEFAULT = ("sweep", "korn-sweep", "trace")  # the others write only with --out
+# parsed flags that config.json leaves out (--radius and --waist enter it as surface_params)
+_NOT_ECHOED = ("func", "out", "force", "radius", "waist", "selftest")
 
 
 class UsageError(Exception):
     pass
 
 
-def _default_outdir(sub: str) -> Path:
-    base = os.environ.get(ENV_OUTDIR, "runs")
-    return Path(base) / sub
+def _finite(text: str) -> float:
+    """The type of every float flag, so that argparse names a flag that is not a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
+    return value
+
+
+def _add_shared_flags(sp: argparse.ArgumentParser, surface=False, seed: bool = False) -> None:
+    """The flags several subcommands share: --surface/--radius/--waist unless ``surface``
+    is False (it is then the default of --surface), --seed if ``seed``, and --out/--force."""
+    if surface is not False:
+        sp.add_argument("--surface", default=surface, choices=geo.SURFACES)
+        sp.add_argument("--radius", type=_finite, help="sphere/cylinder radius")
+        sp.add_argument("--waist", type=_finite, help="pseudosphere waist radius")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--out", help="output directory; sweep, korn-sweep and trace default to $SHELLRIG_OUT/<subcommand>"
+    )
+    sp.add_argument("--force", action="store_true")
+
+
+def _outdir(args) -> Path | None:
+    """Where a run writes: --out, else $SHELLRIG_OUT/<subcommand> for sweep, korn-sweep and
+    trace, else nowhere (the verdicts are only printed).
+
+    A non-empty directory needs --force; ``_finish`` creates the directory.
+    """
+    if args.out:
+        out = Path(args.out)
+    elif args.subcommand in _WRITE_BY_DEFAULT:
+        out = Path(os.environ.get(ENV_OUTDIR, "runs")) / args.subcommand
+    else:
+        return None
+    if out.exists() and any(out.iterdir()) and not args.force:
+        raise UsageError(f"output directory {out} is not empty; pass --force to overwrite")
+    return out
 
 
 def _surface_params(args) -> dict:
-    params = {}
-    if args.radius is not None:
-        params["radius"] = args.radius
-    if args.waist is not None:
-        params["waist"] = args.waist
-    return params
+    return {key: getattr(args, key) for key in ("radius", "waist") if getattr(args, key) is not None}
 
 
-def _prepare_outdir(out: Path, force: bool) -> Path:
-    """Refuse a non-empty ``out`` without ``force``; ``_finish`` creates the directory."""
-    out = Path(out)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise UsageError(f"output directory {out} is not empty; pass --force to overwrite")
-    return out
+def _echo(args, *drop, **extra) -> dict:
+    """config.json of a one-shot run: its parsed flags less ``drop`` and ``_NOT_ECHOED``,
+    surface_params where it takes a surface, and ``extra``."""
+    echo = {key: value for key, value in vars(args).items() if key not in _NOT_ECHOED + drop}
+    if "surface" in echo:
+        echo["surface_params"] = _surface_params(args)
+    return {**echo, **extra}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -110,74 +147,51 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _merge_config(defaults: dict, file_vals: dict, explicit: dict, known: set) -> dict:
-    for key in file_vals:
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r} (known: {sorted(known)})")
-    merged = dict(defaults)
-    merged.update(file_vals)
-    merged.update(explicit)
-    return merged
-
-
 # -- sweep family -----------------------------------------------------------------
 
 
 _SWEEP_DEFAULTS = {
     f.name: f.default for f in dataclasses.fields(ex.SweepConfig) if f.name != "surface_params"
 }
+_SWEEP_HELP = {
+    "p": "norm exponent, 1 < p < inf",
+    "field": "identity | rigid:<seed> | ansatz | random:<seed> | random",
+    "seeds": "battery size for --field random",
+}
 
 
 def _add_sweep_flags(sp: argparse.ArgumentParser) -> None:
+    """--config, and one flag per SweepConfig key, typed by its default; a flag not given parses as None."""
     sp.add_argument("--config", help="JSON config file; explicit flags override it")
-    sp.add_argument("--surface", choices=geo.SURFACES)
-    sp.add_argument("--radius", type=float, help="sphere/cylinder radius")
-    sp.add_argument("--waist", type=float, help="pseudosphere waist radius")
-    sp.add_argument("--profile", choices=geo.PROFILES)
-    sp.add_argument("--p", type=float, help="norm exponent, 1 < p < inf")
-    sp.add_argument("--h-min", dest="h_min", type=float)
-    sp.add_argument("--h-max", dest="h_max", type=float)
-    sp.add_argument("--num-h", dest="num_h", type=int)
-    sp.add_argument("--field", help="identity | rigid:<seed> | ansatz | random:<seed> | random")
-    sp.add_argument("--seeds", type=int, help="battery size for --field random")
-    sp.add_argument("--eps-rule", dest="eps_rule", choices=ex.EPS_RULES)
-    sp.add_argument("--eps-value", dest="eps_value", type=float)
-    sp.add_argument("--amplitude", type=float)
-    sp.add_argument("--modes", type=int)
-    sp.add_argument("--rotation-mode", dest="rotation_mode", choices=ex.ROTATION_MODES)
-    sp.add_argument("--offset-mode", dest="offset_mode", choices=ex.OFFSET_MODES)
-    sp.add_argument("--nt", type=int)
-    sp.add_argument("--ntheta", type=int)
-    sp.add_argument("--nz", type=int)
-    sp.add_argument("--no-adaptive-theta", dest="adaptive_theta", action="store_false", default=None)
-    sp.add_argument("--slope-tol", dest="slope_tol", type=float)
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--out", help="output directory (default from $SHELLRIG_OUT)")
-    sp.add_argument("--force", action="store_true")
+    for key, default in _SWEEP_DEFAULTS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            sp.add_argument(flag.replace("--", "--no-"), dest=key, action="store_false", default=None)
+        elif key != "surface":  # --surface is one of the shared flags
+            kind = {float: _finite, int: int}.get(type(default))  # a str flag needs no type
+            sp.add_argument(flag, type=kind, choices=ex.CHOICES.get(key), help=_SWEEP_HELP.get(key))
+    _add_shared_flags(sp, surface=None)
 
 
 def _sweep_config_from(args) -> tuple[ex.SweepConfig, dict]:
-    explicit = {
-        k: v
-        for k, v in vars(args).items()
-        if k in _SWEEP_DEFAULTS and v is not None
-    }
+    """The sweep's defaults, overridden by the --config file, overridden by the flags given."""
     file_vals = _load_config_file(args.config)
-    merged = _merge_config(_SWEEP_DEFAULTS, file_vals, explicit, set(_SWEEP_DEFAULTS))
+    for key in file_vals:
+        if key not in _SWEEP_DEFAULTS:
+            raise UsageError(f"unknown config key {key!r} (known: {sorted(_SWEEP_DEFAULTS)})")
+    explicit = {key: val for key, val in vars(args).items() if key in _SWEEP_DEFAULTS and val is not None}
+    merged = {**_SWEEP_DEFAULTS, **file_vals, **explicit}
     cfg = ex.SweepConfig(surface_params=_surface_params(args), **merged)
-    try:
-        cfg.validate()
-    except ValueError as err:
-        raise UsageError(str(err))
+    cfg.validate()
     return cfg, merged
 
 
-def _cmd_sweep(args, linearized: bool) -> int:
+def _cmd_sweep(args) -> int:
     cfg, merged = _sweep_config_from(args)
-    out = _prepare_outdir(args.out or _default_outdir("korn-sweep" if linearized else "sweep"), args.force)
-    echo = {**merged, "surface_params": cfg.surface_params, "subcommand": "korn-sweep" if linearized else "sweep"}
+    out = _outdir(args)
+    echo = {**merged, "surface_params": cfg.surface_params, "subcommand": args.subcommand}
     try:
-        result = ex.korn_sweep(cfg) if linearized else ex.run_sweep(cfg)
+        result = ex.korn_sweep(cfg) if args.subcommand == "korn-sweep" else ex.run_sweep(cfg)
     except ex.SweepError as err:
         return _finish(
             out, {"sweep": (False, str(err))}, echo, ("sweep.csv", err.partial_rows, ex.CSV_HEADER),
@@ -221,7 +235,7 @@ def _trace_rows(traces) -> list[dict]:
 
 
 def _cmd_trace(args) -> int:
-    if not (1.0 < args.p < math.inf):
+    if args.p <= 1.0:  # --p is finite
         raise UsageError("p must satisfy 1 < p < infinity")
     surface = geo.make_surface(args.surface, **_surface_params(args))
     if args.h >= surface.h0():
@@ -236,20 +250,8 @@ def _cmd_trace(args) -> int:
     )
     if u.kind != "displacement":
         raise UsageError("trace needs a displacement field (ansatz or random:<seed>)")
-    out = _prepare_outdir(args.out or _default_outdir("trace"), args.force)
-    echo = {
-        "subcommand": "trace",
-        "surface": args.surface,
-        "surface_params": _surface_params(args),
-        "profile": args.profile,
-        "h": args.h,
-        "gamma": args.gamma,
-        "p": args.p,
-        "field": args.field,
-        "amplitude": args.amplitude,
-        "modes": args.modes,
-        "grid": [args.nt, nth, nz],
-    }
+    out = _outdir(args)
+    echo = _echo(args, "nt", "ntheta", "nz", grid=[args.nt, nth, nz])
     rows = []
     try:
         traces, agg = loc.patch_trace(u, dec, grid, args.p)
@@ -291,16 +293,8 @@ def _cmd_check_gradient(args) -> int:
     if not 0.0 < 8.0 * args.step < args.h:
         raise UsageError("--step must lie in (0, h/8) so the oracle stays inside the shell")
     rng = np.random.default_rng(args.seed)
-    out = _prepare_outdir(args.out, args.force) if args.out else None
-    echo = {
-        "subcommand": "check-gradient",
-        "step": args.step,
-        "points": args.points,
-        "tol": args.tol,
-        "h": args.h,
-        "seed": args.seed,
-        "modes": args.modes,
-    }
+    out = _outdir(args)
+    echo = _echo(args)
     domains = [geo.ThinDomain(geo.make_surface(name), geo.shell_profile(args.h)) for name in geo.SURFACES]
     rows = []
     worst = 0.0
@@ -358,6 +352,9 @@ def _cmd_check_gradient(args) -> int:
 def _cmd_dist_so3(args) -> int:
     if not args.selftest:
         raise UsageError("dist-so3 currently only supports --selftest")
+    if min(args.matrices, args.rotations) < 1:
+        raise UsageError("--matrices and --rotations must be at least 1")
+    out = _outdir(args)
     rng = np.random.default_rng(args.seed)
     checks = {}
 
@@ -382,21 +379,15 @@ def _cmd_dist_so3(args) -> int:
     gap2 = np.abs(np.linalg.norm(f - r, axis=(1, 2)) - mo.dist_SO3(f))
     pos = np.linalg.det(f) > 0
     checks["polar-consistency"] = (
-        bool(gap2[pos].max() <= 1e-10),
-        f"max |(F - R) - dist| = {gap2[pos].max():.2e} on det>0 matrices",
+        bool(gap2[pos].max(initial=0.0) <= 1e-10),
+        f"max |(F - R) - dist| = {gap2[pos].max(initial=0.0):.2e} on det>0 matrices",
     )
 
-    echo = {
-        "subcommand": "dist-so3",
-        "matrices": args.matrices,
-        "rotations": args.rotations,
-        "seed": args.seed,
-    }
     rows = [{"check": name, "passed": int(ok), "detail": detail} for name, (ok, detail) in checks.items()]
     summary = {k: {"passed": ok, "detail": d} for k, (ok, d) in checks.items()}
     return _finish(
-        _prepare_outdir(args.out, args.force) if args.out else None, checks, echo,
-        ("selftest.csv", rows, ["check", "passed", "detail"]), ("selftest.json", summary),
+        out, checks, _echo(args), ("selftest.csv", rows, ["check", "passed", "detail"]),
+        ("selftest.json", summary),
     )
 
 
@@ -414,19 +405,8 @@ def _cmd_doubling(args) -> int:
     margin_z = 2.5 * args.r_max / float(surface.a_z(0.5 * (t0 + t1), 0.5 * (z0 + z1)))
     if t0 + margin_th >= t1 - margin_th or z0 + margin_z >= z1 - margin_z:
         raise UsageError("patch too small for the requested radius range")
-    out = _prepare_outdir(args.out, args.force) if args.out else None
-    echo = {
-        "subcommand": "doubling",
-        "surface": args.surface,
-        "surface_params": _surface_params(args),
-        "r_min": args.r_min,
-        "r_max": args.r_max,
-        "num_r": args.num_r,
-        "centers": args.centers,
-        "budget": args.budget,
-        "seed": args.seed,
-        "sigma_tol": args.sigma_tol,
-    }
+    out = _outdir(args)
+    echo = _echo(args)
     rows = []
     try:
         for _ in range(args.centers):
@@ -485,65 +465,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("sweep", help="inequality ratio sweep over h with a scaling fit")
-    _add_sweep_flags(sp)
-    sp.set_defaults(func=lambda a: _cmd_sweep(a, linearized=False))
-
-    sp = sub.add_parser("korn-sweep", help="linearized (strain) ratio sweep over h")
-    _add_sweep_flags(sp)
-    sp.set_defaults(func=lambda a: _cmd_sweep(a, linearized=True))
+    for name, text in (("sweep", "inequality ratio sweep over h with a scaling fit"),
+                       ("korn-sweep", "linearized (strain) ratio sweep over h")):
+        sp = sub.add_parser(name, help=text)
+        _add_sweep_flags(sp)
+        sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("trace", help="patchwise localization audit at one h")
-    sp.add_argument("--surface", default="sphere", choices=geo.SURFACES)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--waist", type=float)
     sp.add_argument("--profile", default="shell", choices=geo.PROFILES)
-    sp.add_argument("--h", type=float, default=1e-2)
-    sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--h", type=_finite, default=1e-2)
+    sp.add_argument("--gamma", type=_finite, default=0.5)
+    sp.add_argument("--p", type=_finite, default=2.0)
     sp.add_argument("--field", default="random:0")
-    sp.add_argument("--amplitude", type=float, default=1e-3)
+    sp.add_argument("--amplitude", type=_finite, default=1e-3)
     sp.add_argument("--modes", type=int, default=4)
     sp.add_argument("--nt", type=int, default=4)
     sp.add_argument("--ntheta", type=int, default=48)
     sp.add_argument("--nz", type=int, default=48)
-    sp.add_argument("--out")
-    sp.add_argument("--force", action="store_true")
+    _add_shared_flags(sp, surface="sphere")
     sp.set_defaults(func=_cmd_trace)
 
     sp = sub.add_parser("check-gradient", help="frame gradient vs finite-difference oracle")
-    sp.add_argument("--step", type=float, default=1e-4)
+    sp.add_argument("--step", type=_finite, default=1e-4)
     sp.add_argument("--points", type=int, default=100)
-    sp.add_argument("--tol", type=float, default=1e-5)
-    sp.add_argument("--h", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=_finite, default=1e-5)
+    sp.add_argument("--h", type=_finite, default=0.05)
     sp.add_argument("--modes", type=int, default=4)
-    sp.add_argument("--out")
-    sp.add_argument("--force", action="store_true")
+    _add_shared_flags(sp, seed=True)
     sp.set_defaults(func=_cmd_check_gradient)
 
     sp = sub.add_parser("dist-so3", help="rotation-distance kernel selftest")
     sp.add_argument("--selftest", action="store_true")
     sp.add_argument("--matrices", type=int, default=200)
     sp.add_argument("--rotations", type=int, default=300_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.add_argument("--force", action="store_true")
+    _add_shared_flags(sp, seed=True)
     sp.set_defaults(func=_cmd_dist_so3)
 
     sp = sub.add_parser("doubling", help="two-ball surface measure ratios")
-    sp.add_argument("--surface", default="sphere", choices=geo.SURFACES)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--waist", type=float)
-    sp.add_argument("--r-min", dest="r_min", type=float, default=0.01)
-    sp.add_argument("--r-max", dest="r_max", type=float, default=0.1)
-    sp.add_argument("--num-r", dest="num_r", type=int, default=5)
+    sp.add_argument("--r-min", type=_finite, default=0.01)
+    sp.add_argument("--r-max", type=_finite, default=0.1)
+    sp.add_argument("--num-r", type=int, default=5)
     sp.add_argument("--centers", type=int, default=20)
     sp.add_argument("--budget", type=int, default=150_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sigma-tol", dest="sigma_tol", type=float, default=0.35)
-    sp.add_argument("--out")
-    sp.add_argument("--force", action="store_true")
+    sp.add_argument("--sigma-tol", type=_finite, default=0.35)
+    _add_shared_flags(sp, surface="sphere", seed=True)
     sp.set_defaults(func=_cmd_doubling)
 
     sp = sub.add_parser("show-config", help="print all sweep defaults as JSON")
@@ -561,10 +526,7 @@ def main(argv=None) -> int:
         return int(err.code) if err.code else 0
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (geo.ProfileError, geo.ChartDegeneracyError, geo.DomainError, ValueError) as err:
+    except (UsageError, ValueError) as err:  # ValueError covers the geometry errors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

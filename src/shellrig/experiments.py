@@ -91,9 +91,13 @@ def fit_exponent(pairs) -> ScalingFit:
 
 
 CHUNK_NODES = 2048  # grid nodes times seeds of one battery chunk (see _sweep)
-EPS_RULES = ("h", "h2", "fixed")  # read by SweepConfig.epsilon
-ROTATION_MODES = ("identity", "best-fit")  # read by _single_report
-OFFSET_MODES = ("mean", "zero")  # read by _single_report
+CHOICES = {  # key -> its allowed values, for SweepConfig.validate and the sweep flags
+    "surface": geo.SURFACES,
+    "profile": geo.PROFILES,
+    "eps_rule": ("h", "h2", "fixed"),  # read by SweepConfig.epsilon
+    "rotation_mode": ("identity", "best-fit"),  # read by _single_report
+    "offset_mode": ("mean", "zero"),  # read by _single_report
+}
 
 
 @dataclass
@@ -109,12 +113,12 @@ class SweepConfig:
     num_h: int = 9
     field: str = "ansatz"  # a spec of fields.FIELD_SPEC; bare "random" is the battery
     seeds: int = 20  # battery size when field == "random"
-    eps_rule: str = "h"  # one of EPS_RULES
+    eps_rule: str = "h"
     eps_value: float = 1e-3  # used when eps_rule == "fixed"
     amplitude: float = 0.1
     modes: int = 4
-    rotation_mode: str = "identity"  # one of ROTATION_MODES
-    offset_mode: str = "mean"  # one of OFFSET_MODES
+    rotation_mode: str = "identity"
+    offset_mode: str = "mean"
     nt: int = 8
     ntheta: int = 64
     nz: int = 64
@@ -126,12 +130,9 @@ class SweepConfig:
         """Refuse a config no sweep can run, before anything is computed or written.
 
         Every key must have its default's type (an int passes for a float,
-        a bool only for a bool), and a named key must be one of its choices.
+        a bool only for a bool), a float must be finite, and a key of
+        CHOICES must take one of its choices.
         """
-        choices = {
-            "surface": geo.SURFACES, "profile": geo.PROFILES, "eps_rule": EPS_RULES,
-            "rotation_mode": ROTATION_MODES, "offset_mode": OFFSET_MODES,
-        }
         for f in fields(self):
             if f.default is MISSING:  # surface_params, set from flags only
                 continue
@@ -139,8 +140,10 @@ class SweepConfig:
             allowed = (int, float) if kind is float else kind
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
                 raise ValueError(f"{f.name} must be of type {kind.__name__}, not {value!r}")
-            if f.name in choices and value not in choices[f.name]:
-                raise ValueError(f"{f.name} must be one of {', '.join(choices[f.name])}, not {value!r}")
+            if kind is float and not -math.inf < value < math.inf:  # exact for an int of any size
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
+            if f.name in CHOICES and value not in CHOICES[f.name]:
+                raise ValueError(f"{f.name} must be one of {', '.join(CHOICES[f.name])}, not {value!r}")
         if not (1.0 < self.p < math.inf):
             raise ValueError("p must satisfy 1 < p < infinity")
         if not (0 < self.h_min < self.h_max):
@@ -328,6 +331,14 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
     return rows, [rep for _, _, rep, _ in results]
 
 
+def _fit_ratio(rows) -> ScalingFit:
+    """The log-log slope of a sweep's ratios; a ratio it cannot pass through fails the sweep with all rows."""
+    try:
+        return fit_exponent([(row["h"], row["ratio"]) for row in rows])
+    except ValueError as err:
+        raise SweepError(f"sweep fit failed: {err}", rows) from err
+
+
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Interpolation-inequality sweep over the configured thickness values.
 
@@ -344,7 +355,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             "all reports are exact rigid motions; ratio fit skipped",
         )
     else:
-        fit = fit_exponent([(row["h"], row["ratio"]) for row in rows])
+        fit = _fit_ratio(rows)
         if config.field.startswith("ansatz"):
             ok = abs(fit.alpha_hat) <= config.slope_tol
             verdicts["sharpness"] = (
@@ -380,7 +391,7 @@ def korn_sweep(config: SweepConfig) -> SweepResult:
             "strain term vanishes; ratio is the plain gradient-to-field quotient, not fitted",
         )
     else:
-        fit = fit_exponent([(row["h"], row["ratio"]) for row in rows])
+        fit = _fit_ratio(rows)
         if config.field.startswith("ansatz"):
             ok = abs(fit.alpha_hat) <= config.slope_tol
             verdicts["korn-sharpness"] = (

@@ -181,11 +181,6 @@ class ParamSurface:
         ez = self.tangent_z(theta, z) / _arr(self.a_z(theta, z))[..., None]
         return np.stack([et, eth, ez], axis=-1)
 
-    def frame_derivatives(self, theta, z) -> tuple[Array, Array]:
-        """(d/dtheta, d/dz) of the frame columns, from the structure equations."""
-        nodes = self.nodes(theta, z)
-        return nodes.d_theta, nodes.d_z
-
     def nodes(self, theta, z) -> SurfaceNodes:
         """Frame, frame derivatives and chart coefficients at the given nodes."""
         e = self.frame(theta, z)
@@ -238,29 +233,32 @@ class ParamSurface:
         )
 
 
-def frame_at(surface: ParamSurface, theta, z) -> Array:
-    """Orthonormal frame (e_t, e_theta, e_z) as matrix columns at a chart point."""
-    surface.require_inside(theta, z)
-    return surface.frame(theta, z)
-
-
 def gaussian_curvature(surface: ParamSurface, theta, z) -> Array:
     """Product of the principal curvatures."""
     return _arr(surface.kappa_theta(theta, z)) * _arr(surface.kappa_z(theta, z))
 
 
 def _validate_surface(s: ParamSurface, n: int = 21) -> ParamSurface:
+    # each check asks for the good case, so that a NaN fails it
     th, zz = s.interior_samples(n)
     ath, az = _arr(s.a_theta(th, zz)), _arr(s.a_z(th, zz))
-    if np.any(ath <= 0) or np.any(az <= 0):
+    if not (np.all(ath > 0) and np.all(az > 0)):
         raise ValueError(f"{s.name}: metric coefficients must be positive on the patch")
     nrm = s.normal(th, zz)
-    if np.max(np.abs(np.linalg.norm(nrm, axis=-1) - 1.0)) > 1e-12:
+    if not np.all(np.abs(np.linalg.norm(nrm, axis=-1) - 1.0) <= 1e-12):
         raise ValueError(f"{s.name}: normal is not unit length")
     dot = np.abs(np.sum(s.tangent_theta(th, zz) * s.tangent_z(th, zz), axis=-1))
-    if np.max(dot / (ath * az)) > 1e-10:
+    if not np.all(dot <= 1e-10 * ath * az):
         raise ValueError(f"{s.name}: coordinate directions are not orthogonal")
     return s
+
+
+def _length(name: str, value) -> float:
+    """A radius or waist as a float; it must be positive and finite."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    return value
 
 
 # -- built-in surfaces --------------------------------------------------------
@@ -303,7 +301,7 @@ def cylinder(
     z_span: tuple[float, float] = (0.0, 1.0),
 ) -> ParamSurface:
     """Circular cylinder of the given radius; theta is the azimuth, z the axis."""
-    rho = float(radius)
+    rho = _length("radius", radius)
     return _validate_surface(
         ParamSurface(
             name="cylinder",
@@ -335,7 +333,7 @@ def sphere(
     z_span: tuple[float, float] = (np.pi / 2 - 0.5, np.pi / 2 + 0.5),
 ) -> ParamSurface:
     """Sphere patch in the colatitude chart: z is the colatitude, theta the azimuth."""
-    rho = float(radius)
+    rho = _length("radius", radius)
     return _validate_surface(
         ParamSurface(
             name="sphere",
@@ -384,7 +382,7 @@ def pseudosphere(
     kappa_z = -sech^2(z/a)/a, so K = -sech^4(z/a)/a^2; the default patch
     keeps |K| within roughly [0.7, 1].
     """
-    a = float(waist)
+    a = _length("waist", waist)
 
     def ch(z):
         return np.cosh(_arr(z) / a)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -281,6 +282,8 @@ def test_overflowing_sweep_fails_cleanly(tmp_path, command, field):
         (["doubling", "--centers", "0"], "--centers"),
         (["doubling", "--budget", "-1"], "--budget"),
         (["trace", "--amplitude", "-1"], "amplitude"),
+        (["dist-so3", "--selftest", "--matrices", "0"], "--matrices"),
+        (["dist-so3", "--selftest", "--rotations", "0"], "--rotations"),
     ],
 )
 def test_bad_flags_exit_2_before_any_file(tmp_path, capsys, argv, named):
@@ -288,3 +291,80 @@ def test_bad_flags_exit_2_before_any_file(tmp_path, capsys, argv, named):
     assert run([*argv, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, file_vals, named",
+    [
+        (["trace", "--radius", "inf"], None, "argument --radius"),
+        (["sweep", "--radius", "nan"], None, "argument --radius"),
+        (["doubling", "--r-max", "nan"], None, "argument --r-max"),
+        (["sweep", "--slope-tol", "nan"], None, "argument --slope-tol"),
+        (["korn-sweep", "--p", "inf"], None, "argument --p"),
+        (["sweep"], {"slope_tol": math.nan}, "slope_tol"),
+        (["sweep"], {"amplitude": math.inf}, "amplitude"),
+        (["trace", "--surface", "pseudosphere", "--waist", "0"], None, "waist"),
+        (["doubling", "--radius", "1e-300"], None, "patch too small"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, monkeypatch, capsys, argv, file_vals, named):
+    # refused before the run: exit 2, the flag or key named, nothing written, no warning
+    monkeypatch.chdir(tmp_path)
+    if file_vals is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(file_vals))
+        argv = [*argv, "--config", "cfg.json"]
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_failure_is_a_failed_run(tmp_path):
+    # the ansatz falls between the nodes at the two smallest h, so their ratios are NaN and no slope fits
+    out = tmp_path / "run"
+    argv = ["korn-sweep", "--field", "ansatz", "--num-h", "4", "--nt", "3", "--ntheta", "8", "--nz", "8",
+            "--no-adaptive-theta", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    assert len(list(out.iterdir())) == 4
+    failure = "sweep fit failed: cannot fit a log-log slope through the pair (h=0.001, value=nan)"
+    assert (out / "verdict.txt").read_text() == f"sweep: FAIL ({failure})\n"
+    assert json.loads((out / "fit.json").read_text())["config_echo"]["failure"] == failure
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 4  # the header and every row
+
+
+@pytest.mark.parametrize(
+    "argv, echo",
+    [
+        (["trace", "--surface", "cylinder", "--radius", "2", "--gamma", "0.2", "--h", "1e-2", "--field", "random:3",
+          "--nt", "2", "--ntheta", "8", "--nz", "8"],
+         {"amplitude": 0.001, "field": "random:3", "gamma": 0.2, "grid": [2, 20, 12], "h": 0.01, "modes": 4,
+          "p": 2.0, "profile": "shell", "subcommand": "trace", "surface": "cylinder",
+          "surface_params": {"radius": 2.0}}),
+        (["trace", "--profile", "bump", "--radius", "1.5", "--h", "3e-2", "--field", "random:2",
+          "--nt", "2", "--ntheta", "16", "--nz", "16"],
+         {"amplitude": 0.001, "field": "random:2", "gamma": 0.5, "grid": [2, 32, 36], "h": 0.03, "modes": 4,
+          "p": 2.0, "profile": "bump", "subcommand": "trace", "surface": "sphere",
+          "surface_params": {"radius": 1.5}}),
+        (["check-gradient", "--points", "5", "--seed", "3", "--step", "2e-4"],
+         {"h": 0.05, "modes": 4, "points": 5, "seed": 3, "step": 0.0002, "subcommand": "check-gradient",
+          "tol": 1e-05}),
+        (["dist-so3", "--selftest", "--matrices", "10", "--rotations", "1000", "--seed", "2"],
+         {"matrices": 10, "rotations": 1000, "seed": 2, "subcommand": "dist-so3"}),
+        (["doubling", "--surface", "pseudosphere", "--waist", "1.2", "--centers", "1", "--num-r", "2",
+          "--budget", "20000", "--r-max", "0.05"],
+         {"budget": 20000, "centers": 1, "num_r": 2, "r_max": 0.05, "r_min": 0.01, "seed": 0, "sigma_tol": 0.35,
+          "subcommand": "doubling", "surface": "pseudosphere", "surface_params": {"waist": 1.2}}),
+    ],
+    ids=["trace-shell", "trace-bump", "check-gradient", "dist-so3", "doubling"],
+)
+def test_one_shot_config_echo_is_pinned(tmp_path, argv, echo):
+    # the exact config.json of each one-shot subcommand; trace echoes its effective grid
+    out = tmp_path / "run"
+    run([*argv, "--out", str(out)])
+    assert (out / "config.json").read_text() == json.dumps(echo, indent=2, sort_keys=True) + "\n"

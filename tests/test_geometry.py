@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,7 +111,8 @@ def test_frame_derivatives_match_finite_differences(surface):
     rng = np.random.default_rng(5)
     th, zz = _random_interior(surface, 100, rng, margin=0.05)
     eps = 1e-6
-    de_th, de_z = surface.frame_derivatives(th, zz)
+    nodes = surface.nodes(th, zz)
+    de_th, de_z = nodes.d_theta, nodes.d_z
     fd_th = (surface.frame(th + eps, zz) - surface.frame(th - eps, zz)) / (2 * eps)
     fd_z = (surface.frame(th, zz + eps) - surface.frame(th, zz - eps)) / (2 * eps)
     assert np.abs(de_th - fd_th).max() < 1e-6
@@ -312,12 +314,20 @@ def test_make_surface_unknown_name():
         geo.make_surface("torus")
 
 
-def test_frame_at_checks_domain():
-    s = geo.make_surface("sphere")
-    e = geo.frame_at(s, 0.5, np.pi / 2)
-    assert np.abs(np.einsum("ij,ik->jk", e, e) - np.eye(3)).max() < 1e-12
-    with pytest.raises(geo.DomainError):
-        geo.frame_at(s, 5.0, np.pi / 2)
+@pytest.mark.parametrize("name, key", [("cylinder", "radius"), ("sphere", "radius"), ("pseudosphere", "waist")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_builders_refuse_a_length_that_is_not_positive_and_finite(name, key, value):
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        geo.make_surface(name, **{key: value})
+
+
+@pytest.mark.parametrize("member", ["a_theta", "normal", "tangent_z"])
+def test_surface_checks_fail_on_nan(member):
+    s = geo.sphere()
+    good = getattr(s, member)
+    broken = dataclasses.replace(s, **{member: lambda theta, z: good(theta, z) * math.nan})
+    with pytest.raises(ValueError, match="sphere: "):
+        geo._validate_surface(broken)
 
 
 def test_doubling_rejects_radius_beyond_patch():
