@@ -119,13 +119,15 @@ def on_grid(field: FrameField, grid) -> tuple[Array, Array]:
     """Components and partials of ``field`` on every node of a quadrature grid.
 
     Each callable is called once, with theta and z on the (ntheta, nz) nodes
-    broadcasting against the grid's t.  For x + eps*u only u is evaluated;
-    x -> x comes from the grid's cache.
+    broadcasting against ``grid.t_axis`` (one column of t on a uniform shell),
+    so t-only factors are computed once per thickness node; the outputs keep
+    the full grid shape and the bits of an evaluation on ``grid.t``.  For
+    x + eps*u only u is evaluated; x -> x comes from the grid's cache.
     """
     th, zz = grid.plane
     base, eps = field.displacement or (field, None)
-    comp = base.components(grid.t, th, zz)
-    par = base.partials(grid.t, th, zz)
+    comp = base.components(grid.t_axis, th, zz)
+    par = base.partials(grid.t_axis, th, zz)
     if par is None:
         raise ValueError("field has no partials; supply analytic or sampled partials")
     if eps is not None:
@@ -301,8 +303,9 @@ def random_smooth_field(
     Coefficients, integer frequencies, and phases are drawn from the seed;
     the same seed always reproduces the same field.  Each mode is a product
     of a t, a theta and a z factor, and each factor is evaluated on its own
-    argument's shape: on a grid (t on all nodes, theta (ntheta, 1), z
-    (1, nz)) the theta and z trig runs on the 1-d axes, and only the
+    argument's shape: on a grid (``t_axis``, which is (nt, 1, 1) on a
+    uniform shell and t on all nodes otherwise, theta (ntheta, 1), z
+    (1, nz)) the trig of each factor runs on its own axis, and only the
     products broadcast to every node.  The output has the broadcast shape
     of the arguments plus (3,) for ``components`` and (3, 3) for
     ``partials``.

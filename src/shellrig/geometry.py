@@ -14,6 +14,7 @@ evaluation needs no locking.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -428,11 +429,15 @@ SURFACES = {  # name -> builder; the choices of every --surface
 
 
 def make_surface(name: str, **params) -> ParamSurface:
-    """Build a surface by name; unknown names raise with the available list."""
+    """Build a surface by name; an unknown name, or a parameter its builder does not take, raises."""
     try:
         builder = SURFACES[name]
     except KeyError:
         raise ValueError(f"unknown surface {name!r}; choose from {sorted(SURFACES)}") from None
+    taken = inspect.signature(builder).parameters
+    for key in params:
+        if key not in taken:
+            raise ValueError(f"surface {name!r} takes no parameter {key!r}; it takes {', '.join(taken)}")
     return builder(**params)
 
 

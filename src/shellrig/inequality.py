@@ -24,7 +24,7 @@ from .fields import FrameField, gradient_from_partials, on_grid
 from .fields import frame_gradient  # noqa: F401  (tools bind inequality.frame_gradient)
 from .geometry import ThinDomain, embed  # noqa: F401  (re-exported: tools bind inequality.embed)
 from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
-from .norms import QuadratureGrid, lp_norm, weighted_mean
+from .norms import QuadratureGrid, lp_norm, lp_norms, weighted_mean
 
 Array = np.ndarray
 
@@ -158,10 +158,11 @@ def interpolation_sides(
     3) as ``random_smooth_field`` gives for S seeds, is S deformations at
     once, and the result is a list of S reports; ``meta`` may then list one
     dict per seed.  The nodal arrays (the gradient, E y, dist(grad y, SO(3))
-    and E^T R E for a fixed R) are computed once for the stack.  Every
-    reduction (offset, best-fit rotation, L^p norm) runs on one seed's
+    and E^T R E for a fixed R) are computed once for the stack, and so are
+    the elementwise passes of the L^p norms (``lp_norms``).  Every reduction
+    (offset, best-fit rotation, the sum of an L^p norm) runs on one seed's
     C-contiguous slice, as a lone seed's does, so each report has the bits
-    of its seed evaluated alone; one sum over the stack would move last bits.
+    of its seed evaluated alone; a sum across the seed axis would move last bits.
     """
     if y.kind != "deformation":
         raise ValueError("interpolation sides need a deformation field")
@@ -185,7 +186,7 @@ def interpolation_sides(
     resid = _residual(comp, r, grid)
     del comp
 
-    offsets, field_norms = [], []
+    offsets = []
     for resid_s in resid:
         if isinstance(offset, str):
             b = weighted_mean(resid_s, grid)
@@ -193,12 +194,9 @@ def interpolation_sides(
             b = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
         resid_s -= b
         offsets.append(b)
-        field_norms.append(lp_norm(resid_s, grid, p))
+    field_norms = lp_norms(resid, grid, p)
     del resid, resid_s  # the slice would keep the whole stack alive
-
-    dist = dist_SO3(g)
-    dist_norms = [lp_norm(d_s, grid, p) for d_s in dist]
-    del dist
+    dist_norms = lp_norms(dist_SO3(g), grid, p)
     frame_t = np.swapaxes(frame, -1, -2)
     if isinstance(r, list):
         for g_s, r_s in zip(g, r):
@@ -206,10 +204,11 @@ def interpolation_sides(
     else:
         g -= conjugate_3x3(frame_t, r)
     rots = r if isinstance(r, list) else [r] * len(g)
+    g_norms = lp_norms(g, grid, p)
     scale = grid.volume ** (2.0 / p)
     reports = []
-    for g_s, r_s, b, field_norm, dist_norm, m in zip(g, rots, offsets, field_norms, dist_norms, metas):
-        lhs = lp_norm(g_s, grid, p) ** 2
+    for r_s, b, g_norm, field_norm, dist_norm, m in zip(rots, offsets, g_norms, field_norms, dist_norms, metas):
+        lhs = g_norm**2
         prod = field_norm * dist_norm / domain.h
         reports.append(_finalize(
             lhs, prod, field_norm**2, dist_norm**2, p, domain.h, r_s, b, scale,
@@ -228,7 +227,8 @@ def korn_linear_sides(
     """Linearized sides: gradient vs field norm and linear strain.
 
     A stacked field gives one report per seed, as in ``interpolation_sides``:
-    the gradient and strain once for the stack, the norms per seed.
+    the gradient, the strain and the elementwise passes of the norms once
+    for the stack, the sum of each norm per seed.
     """
     if u.kind != "displacement":
         raise ValueError("the linearized sides need a displacement field")
@@ -236,13 +236,12 @@ def korn_linear_sides(
     comp, par, metas, stacked = _stacked(comp, par, grid, meta)
     g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
     del par
-    strain = 0.5 * (g + np.swapaxes(g, -1, -2))
+    field_norms = lp_norms(comp, grid, p)
+    strain_norms = lp_norms(0.5 * (g + np.swapaxes(g, -1, -2)), grid, p)
     scale = grid.volume ** (2.0 / p)
     reports = []
-    for c_s, s_s, g_s, m in zip(comp, strain, g, metas):
-        field_norm = lp_norm(c_s, grid, p)
-        strain_norm = lp_norm(s_s, grid, p)
-        lhs = lp_norm(g_s, grid, p) ** 2
+    for field_norm, strain_norm, g_norm, m in zip(field_norms, strain_norms, lp_norms(g, grid, p), metas):
+        lhs = g_norm**2
         prod = field_norm * strain_norm / domain.h
         reports.append(_finalize(
             lhs, prod, field_norm**2, strain_norm**2, p, domain.h, None, None, scale,

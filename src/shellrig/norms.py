@@ -40,9 +40,11 @@ class QuadratureGrid:
     the domain volume up to the rule's accuracy.
 
     The grid also caches what every field evaluated on it shares, each
-    computed on first use and kept for the grid's lifetime: ``nodes``, the
-    frame and chart coefficients on the (ntheta, nz) nodes only, since none
-    depends on t; and ``identity``, the embedded points and the frame
+    computed on first use and kept for the grid's lifetime: ``t_axis``, t on
+    the axis it varies over ((nt, 1, 1) when every column holds the same t
+    nodes, as on a uniform shell), on which fields are evaluated; ``nodes``,
+    the frame and chart coefficients on the (ntheta, nz) nodes only, since
+    none depends on t; and ``identity``, the embedded points and the frame
     components and partials of the map x -> x on all nodes.  The latter are
     3-d arrays (about 120 bytes per node), so hold a grid only while its
     reports are evaluated: a sweep keeps ``resolution``, not the grid.
@@ -72,6 +74,17 @@ class QuadratureGrid:
     def plane(self) -> tuple[Array, Array]:
         """theta and z as (ntheta, 1) and (1, nz) arrays; they broadcast against ``t``."""
         return self.theta[:, None], self.z[None, :]
+
+    @cached_property
+    def t_axis(self) -> Array:
+        """``t`` as an (nt, 1, 1) view if every (theta, z) column holds the same t nodes, else ``t``.
+
+        Decided by exact comparison of the values, not by the profile's name, so a
+        constant core shell qualifies too.  Fields evaluated on it (``fields.on_grid``)
+        compute their t-only factors once per thickness node, with the same bits.
+        """
+        col = self.t[:, :1, :1]
+        return col if np.all(self.t == col) else self.t
 
     @cached_property
     def nodes(self) -> SurfaceNodes:
@@ -165,17 +178,19 @@ def adaptive_theta_resolution(domain: ThinDomain, base: int = 64, per_scale: int
     return max(base, int(math.ceil(per_scale * (t1 - t0) / math.sqrt(domain.h))))
 
 
-def _pointwise_magnitude(values: Array, grid: QuadratureGrid) -> Array:
+def _pointwise_magnitude(values: Array, grid: QuadratureGrid, lead: int = 0) -> Array:
+    """Nodal magnitudes of values with ``lead`` leading stack axes before the grid's."""
     values = np.asarray(values, dtype=float)
     base = tuple(grid.resolution)
-    if values.shape == base:
+    shape = values.shape[lead:]
+    if shape == base:
         return np.abs(values)
-    if values.shape == base + (3,):
+    if shape == base + (3,):
         return np.linalg.norm(values, axis=-1)
-    if values.shape == base + (3, 3):
+    if shape == base + (3, 3):
         return np.linalg.norm(values, axis=(-2, -1))
     raise ValueError(
-        f"values shape {values.shape} does not match grid resolution {base} "
+        f"values shape {shape} does not match grid resolution {base} "
         "(scalar, 3-vector, or 3x3 nodal values expected)"
     )
 
@@ -192,6 +207,23 @@ def lp_norm(values: Array, grid: QuadratureGrid, p: float) -> float:
     if not np.all(np.isfinite(mag)):
         raise ValueError("values must be finite on all grid nodes")
     return float(np.sum(grid.weights * mag**p) ** (1.0 / p))
+
+
+def lp_norms(stack: Array, grid: QuadratureGrid, p: float) -> list[float]:
+    """``[lp_norm(v, grid, p) for v in stack]``, with the same bits and errors.
+
+    The magnitudes, the finiteness check and the weighted powers are
+    elementwise, so each is one pass over the whole stack.  The sum runs
+    once per seed on that seed's C-contiguous slice, in ``lp_norm``'s order;
+    a reduction that runs across the seed axis adds in another order and
+    moves last bits.
+    """
+    if not (1.0 < p < math.inf):
+        raise ValueError("p must satisfy 1 < p < infinity")
+    mag = _pointwise_magnitude(stack, grid, lead=1)
+    if not np.all(np.isfinite(mag)):
+        raise ValueError("values must be finite on all grid nodes")
+    return [float(np.sum(w) ** (1.0 / p)) for w in grid.weights * mag**p]
 
 
 def weighted_mean(values: Array, grid: QuadratureGrid) -> Array:

@@ -322,6 +322,25 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, monkeypatch, capsys, argv
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, surface, flag",
+    [
+        ("sweep", "plate", "--radius"),
+        ("korn-sweep", "plate", "--radius"),
+        ("trace", "plate", "--radius"),
+        ("doubling", "plate", "--radius"),
+        ("sweep", "sphere", "--waist"),
+    ],
+)
+def test_surface_parameter_of_another_surface_is_a_usage_error(tmp_path, capsys, subcommand, surface, flag):
+    out = tmp_path / "run"
+    assert run([subcommand, "--surface", surface, flag, "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"surface {surface!r} takes no parameter {flag[2:]!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_failure_is_a_failed_run(tmp_path):
     # the ansatz falls between the nodes at the two smallest h, so their ratios are NaN and no slope fits
     out = tmp_path / "run"
