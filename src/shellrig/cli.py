@@ -10,12 +10,17 @@ Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 usage/config error.
 Flags are checked before a run starts, and a usage error writes nothing.  A
 numerical failure inside a run is a failed verdict: the four files are
 written, with the rows done so far and the failure in the JSON summary.
+
+``main`` may be called many times in one process, as the benchmark and the
+localization audit script do.  It builds its parser once per process: parsing
+leaves the parser as it was, so every call parses as a fresh parser would.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -458,7 +463,9 @@ def _cmd_show_config(_args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (``build_parser.__wrapped__()`` builds a fresh one)."""
     parser = argparse.ArgumentParser(
         prog="shellrig",
         description="Thin-shell rigidity interpolation inequality: numerical verification",

@@ -412,13 +412,10 @@ def write_rows_csv(path, rows, header=CSV_HEADER) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [
-                    format(row[k], ".17g") if isinstance(row[k], float) else row[k]
-                    for k in header
-                ]
-            )
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else v for v in map(row.__getitem__, header)]
+            for row in rows
+        )
 
 
 def fit_summary(fit: ScalingFit | None, config_echo: dict) -> dict:

@@ -20,7 +20,7 @@ from .fields import frame_gradient  # noqa: F401  (tools bind localization.frame
 from .geometry import ProfileError, ThicknessProfile, ThinDomain
 from .geometry import embed  # noqa: F401  (tools bind localization.embed)
 from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
-from .norms import QuadratureGrid, build_grid, lp_norm
+from .norms import QuadratureGrid, lp_norm
 
 Array = np.ndarray
 
@@ -53,14 +53,14 @@ class PatchDecomposition:
         """Recorded constant c in N = c * h^(-2 gamma)."""
         return self.count * self.h ** (2.0 * self.gamma)
 
+    def cell_rects(self) -> list[tuple[float, float, float, float]]:
+        """(theta0, theta1, z0, z1) of every cell, in cell-index order (theta-major)."""
+        th = self.theta_edges.tolist()
+        zz = self.z_edges.tolist()
+        return [(t0, t1, z0, z1) for t0, t1 in zip(th, th[1:]) for z0, z1 in zip(zz, zz[1:])]
+
     def cell_rect(self, i: int) -> tuple[float, float, float, float]:
-        it, iz = divmod(i, self.m_z)
-        return (
-            float(self.theta_edges[it]),
-            float(self.theta_edges[it + 1]),
-            float(self.z_edges[iz]),
-            float(self.z_edges[iz + 1]),
-        )
+        return self.cell_rects()[i]
 
     def cell_ids(self, grid: QuadratureGrid) -> Array:
         """Cell index for every grid node, shape (nt, ntheta, nz)."""
@@ -268,30 +268,24 @@ def patch_trace(
     tiny = 1e-13 * scale
     counts = np.bincount(ids.reshape(-1), minlength=n)
 
-    traces = []
-    for i in range(n):
-        vac = resid[i] <= tiny or i_minus_r[i] <= tiny * 1e2 or dist[i] <= tiny
-        traces.append(
-            PatchTrace(
-                index=i,
-                rect=decomposition.cell_rect(i),
-                rotation=rot[i],
-                offset=b[i],
-                volume=float(tot[i]),
-                n_nodes=int(counts[i]),
-                resid=float(resid[i]),
-                dist=float(dist[i]),
-                grad=float(grad[i]),
-                field=float(field[i]),
-                i_minus_r=float(i_minus_r[i]),
-                poincare_lhs=float(poin[i]),
-                rot_lb_lhs=float(rot_lb[i]),
-                c_local=float(resid[i] * h ** (1.0 - gamma) / dist[i]) if dist[i] > tiny else math.nan,
-                c_poincare=float(poin[i] / (hg * resid[i])) if resid[i] > tiny else math.nan,
-                c_rot_lb=float(rot_lb[i] / (hg * i_minus_r[i])) if i_minus_r[i] > tiny * 1e2 else math.nan,
-                vacuous=bool(vac),
+    # per-patch records from Python floats: the same IEEE operations as on numpy scalars
+    h_local = h ** (1.0 - gamma)
+    traces = [
+        PatchTrace(  # index, rect, rotation, offset, volume, n_nodes, resid, ..., rot_lb_lhs
+            i, rect, r_i, b_i, vol, cnt, res, d, gr, fi, imr, po, rl,
+            c_local=res * h_local / d if d > tiny else math.nan,
+            c_poincare=po / (hg * res) if res > tiny else math.nan,
+            c_rot_lb=rl / (hg * imr) if imr > tiny * 1e2 else math.nan,
+            vacuous=res <= tiny or imr <= tiny * 1e2 or d <= tiny,
+        )
+        for i, (rect, r_i, b_i, vol, cnt, res, d, gr, fi, imr, po, rl) in enumerate(
+            zip(
+                decomposition.cell_rects(), rot, b, tot.tolist(), counts.tolist(), resid.tolist(),
+                dist.tolist(), grad.tolist(), field.tolist(), i_minus_r.tolist(), poin.tolist(),
+                rot_lb.tolist(),
             )
         )
+    ]
 
     grad_total = float(np.sum(grad**p) ** (1.0 / p))
     field_total = float(np.sum(field**p) ** (1.0 / p))
@@ -423,7 +417,7 @@ def shell_to_domain_trace(
         raise ProfileError(
             "core shell is not contained in the domain (profile violates the uniform bounds)"
         )
-    core_grid = build_grid(core, grid.resolution)
+    core_grid = grid.on_domain(core)
 
     l_th, l_z = surface.metric_extents()
     target = patch_scale * domain.h
@@ -451,21 +445,13 @@ def shell_to_domain_trace(
     ratio = grad_domain / denom if denom > 0 else math.nan
     c_excess = (grad_domain - grad_core) / dist_domain if dist_domain > 1e-13 * scale else math.nan
 
-    out_patches = [
-        {
-            "index": i,
-            "rect": dec.cell_rect(i),
-            "resid_core": float(resid_c[i]),
-            "resid_domain": float(resid_o[i]),
-            "dist_core": float(dist_c_p[i]),
-            "dist_domain": float(dist_o_p[i]),
-            "rot_gap": float(gap[i]),
-            "c_rot_gap": float(c_gap[i]),
-            "core_volume": float(tot_c[i]),
-            "domain_volume": float(tot_o[i]),
-        }
-        for i in range(n)
-    ]
+    keys = (
+        "index", "rect", "resid_core", "resid_domain", "dist_core", "dist_domain", "rot_gap", "c_rot_gap",
+        "core_volume", "domain_volume",
+    )
+    arrays = (resid_c, resid_o, dist_c_p, dist_o_p, gap, c_gap, tot_c, tot_o)
+    columns = (range(n), dec.cell_rects(), *(a.tolist() for a in arrays))
+    out_patches = [dict(zip(keys, values)) for values in zip(*columns)]
 
     finite_gaps = c_gap[np.isfinite(c_gap)]
     return ShellDomainTrace(

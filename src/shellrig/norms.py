@@ -56,6 +56,10 @@ class QuadratureGrid:
     evaluate the field once.  The key is the field object itself (held, so
     its identity cannot be reused); another field replaces the entry, and it
     dies with the grid.  Sweeps never use it.
+
+    A grid on another profile of the same surface at the same resolution has
+    the same (theta, z) nodes, so it shares the plane geometry: ``on_domain``
+    (the audit's core-shell grid) reuses ``nodes`` instead of evaluating them.
     """
 
     domain: ThinDomain
@@ -97,6 +101,14 @@ class QuadratureGrid:
         for a in out:
             a.flags.writeable = False
         return out
+
+    def on_domain(self, domain: ThinDomain) -> QuadratureGrid:
+        """``build_grid(domain, self.resolution)`` for a domain on this surface, sharing ``nodes``."""
+        if domain.surface is not self.domain.surface:
+            raise ValueError("a grid shares its plane geometry only with a domain on its surface")
+        grid = build_grid(domain, self.resolution)
+        grid.__dict__["nodes"] = self.nodes  # fills the cached property
+        return grid
 
     def mesh(self) -> tuple[Array, Array, Array]:
         """Full (nt, ntheta, nz) coordinate arrays."""

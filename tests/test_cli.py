@@ -387,3 +387,40 @@ def test_one_shot_config_echo_is_pinned(tmp_path, argv, echo):
     out = tmp_path / "run"
     run([*argv, "--out", str(out)])
     assert (out / "config.json").read_text() == json.dumps(echo, indent=2, sort_keys=True) + "\n"
+
+
+def _session(base):
+    """Exit codes and artifact bytes of four calls in one process: a usage error, a bump trace,
+    a battery sweep and the same trace again.
+
+    The usage error parses and then fails (p = 1) with flags the trace leaves at their
+    defaults, so a parser that kept what it parsed would change the trace.
+    """
+    trace = ["trace", "--profile", "bump", "--h", "3e-2", "--field", "random:2", "--nt", "2",
+             "--ntheta", "16", "--nz", "16"]
+    calls = [
+        ["trace", "--profile", "shell", "--gamma", "0.4", "--amplitude", "1e-2", "--modes", "3", "--p", "1"],
+        trace,
+        ["sweep", "--field", "random", "--seeds", "3", "--p", "3", "--num-h", "4", "--nt", "4", "--ntheta", "8", "--nz", "8"],
+        trace,
+    ]
+    record = []
+    for k, argv in enumerate(calls):
+        out = base / str(k)
+        code = run([*argv, "--out", str(out)])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+        record.append((code, files))
+    return record
+
+
+def test_cached_parser_carries_no_state(tmp_path, monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cached = _session(tmp_path / "cached")
+    assert cli.build_parser.cache_info().misses <= 1  # every call above parsed with the one parser
+    assert [code for code, _ in cached] == [2, 0, 0, 0]
+    assert cached[0][1] is None  # the usage error wrote nothing
+    assert cached[1] == cached[3]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _session(tmp_path / "fresh")
+    assert cached == fresh
+    assert capsys.readouterr().err.count("error: p must satisfy 1 < p < infinity") == 2

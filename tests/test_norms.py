@@ -230,3 +230,23 @@ def test_samples_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         nm.read_samples_csv(path)
+
+
+@pytest.mark.parametrize("name", ["cylinder", "pseudosphere"])
+def test_grid_on_another_profile_shares_the_plane_geometry(name):
+    s = geo.make_surface(name)
+    resolution = (3, 12, 10)
+    bump = nm.build_grid(geo.ThinDomain(s, geo.make_profile("bump", 2e-2, s)), resolution)
+    shell = geo.ThinDomain(s, geo.shell_profile(2e-2))
+    shared = bump.on_domain(shell)
+    fresh = nm.build_grid(shell, resolution)
+    assert shared.nodes is bump.nodes and shared.domain is shell
+
+    def arrays(g):
+        n = g.nodes
+        return (n.position, n.frame, n.d_theta, n.d_z, *n.coeffs, g.t, g.theta, g.z, g.weights)
+
+    for got, want in zip(arrays(shared), arrays(fresh)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="only with a domain on its surface"):
+        bump.on_domain(geo.ThinDomain(geo.make_surface(name), geo.shell_profile(2e-2)))

@@ -130,8 +130,9 @@ def test_bump_trace_evaluates_each_grid_once(monkeypatch, tmp_path):
     nt, nth, nz = json.loads((tmp_path / "config.json").read_text())["grid"]
     # the field is evaluated once per distinct grid: patch_trace evaluates the
     # domain grid, and the passage reuses that evaluation and evaluates only
-    # its core-shell grid; the frame is evaluated once per grid, on the
-    # (theta, z) nodes only
+    # its core-shell grid; the frame is evaluated once per trace, on the
+    # (theta, z) nodes only, since the core-shell grid shares the domain
+    # grid's plane geometry
     assert set(calls.values()) == {1}
     assert Counter((ph, name) for ph, name, _ in calls) == {
         ("patch_trace", "components"): 1,
@@ -139,7 +140,7 @@ def test_bump_trace_evaluates_each_grid_once(monkeypatch, tmp_path):
         ("shell_to_domain_trace", "components"): 1,
         ("shell_to_domain_trace", "partials"): 1,
     }
-    assert frames == [(nth, nz), (nth, nz)]
+    assert frames == [(nth, nz)]
 
 
 def _trace_reprs(traced):
