@@ -198,12 +198,10 @@ def identity_deformation(surface: ParamSurface) -> FrameField:
     """The map x -> x written in frame components on the offset chart."""
 
     def comp(t, theta, z):
-        nodes = surface.nodes(theta, z)
-        return nodes.in_frame(nodes.point(t))
+        return surface.nodes(theta, z).identity(t).components
 
     def par(t, theta, z):
-        nodes = surface.nodes(theta, z)
-        return nodes.identity_partials(t, nodes.point(t))
+        return surface.nodes(theta, z).identity(t).partials
 
     return FrameField(
         comp, par, kind="deformation", description="identity", motion=(np.eye(3), np.zeros(3))
@@ -324,8 +322,9 @@ def random_smooth_field(
     into one reused (modes, 3, ...) buffer, and ``_mode_sum`` adds the modes
     in ``np.sum``'s order: in sequence, ((m0 + m1) + m2) + ..., below 8
     modes, as the old (..., 3, modes) layout did.  ``components`` is returned
-    C-contiguous, because reductions such as ``inequality._residual``'s
-    einsum sum in an order that follows the memory layout of their input.
+    C-contiguous, so a seed's slice of a stack has a lone seed's layout; the
+    reports' bits no longer depend on it (``geometry.matvec`` sums E y in a
+    fixed order, where einsum's order followed the layout of its input).
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
@@ -376,10 +375,11 @@ def random_smooth_field(
 
     def par(t, theta, z):
         shape, lift, at, ath, az = angles(t, theta, z)
-        st, sth, sz = np.sin(at), np.sin(ath), np.sin(az)
+        terms = np.empty((mode_count, 3) + lead + shape)
+        # t angles on every node: their sine goes into the term buffer, one array fewer
+        st, sth, sz = np.sin(at, out=terms if at.shape == terms.shape else None), np.sin(ath), np.sin(az)
         ct, cth, cz = np.cos(at, out=at), np.cos(ath), np.cos(az)
         out = np.empty(lead + shape + (3, 3))
-        terms = np.empty((mode_count, 3) + lead + shape)
         factors = ((w_t, st, cth, cz), (w_th, ct, sth, cz), (w_z, ct, cth, sz))
         for j, (w, a, b, d) in enumerate(factors):
             np.multiply((-coef * w)[lift], a, out=terms)
@@ -552,7 +552,7 @@ def ansatz_displacement(
         w_zz = profile.w_zz(xi, zz)
 
         shape = np.broadcast(t, xi, zz, ath).shape
-        out = np.zeros(shape + (3, 3))
+        out = np.empty(shape + (3, 3))
         out[..., 0, 0] = 0.0
         out[..., 0, 1] = s * w_xi
         out[..., 0, 2] = w_z

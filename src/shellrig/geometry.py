@@ -64,16 +64,31 @@ def chart_coefficients(surface: ParamSurface, theta, z) -> ChartCoefficients:
     )
 
 
-def _transpose_times(m: Array, v: Array) -> Array:
-    """M^T v per node, summed over the rows of M in the order 0, 1, 2.
+def matvec(m: Array, v: Array) -> Array:
+    """M v per node, each entry summed as (m_i0 v_0 + m_i2 v_2) + m_i1 v_1.
 
-    Equal bit for bit to ``np.einsum("...ik,...i->...k", m, v)``, without
-    einsum's generic loops.
+    That is the order of ``np.einsum("...ij,...j->...i", m, v)`` when the j
+    axis of ``v`` is contiguous (numpy 2.4), so this equals that einsum bit
+    for bit there, without its generic loops.  ``m`` is (..., 3, 3) or one
+    3x3 matrix; the output is C-contiguous, plus one node-sized scratch array.
     """
-    out = np.empty(np.broadcast_shapes(m.shape[:-2], v.shape[:-1]) + (3,))
-    for k in range(3):
-        out[..., k] = m[..., 0, k] * v[..., 0] + m[..., 1, k] * v[..., 1] + m[..., 2, k] * v[..., 2]
+    shape = np.broadcast_shapes(m.shape[:-2], v.shape[:-1])
+    out = np.empty(shape + (3,))
+    tmp = np.empty(shape)
+    for i in range(3):
+        o = out[..., i]
+        np.multiply(m[..., i, 0], v[..., 0], out=o)
+        o += np.multiply(m[..., i, 2], v[..., 2], out=tmp)
+        o += np.multiply(m[..., i, 1], v[..., 1], out=tmp)
     return out
+
+
+class IdentityMap(NamedTuple):
+    """The map x -> x at a set of nodes."""
+
+    components: Array  # frame components E^T x
+    partials: Array
+    points: Array  # embedded points x
 
 
 @dataclass(frozen=True)
@@ -95,26 +110,51 @@ class SurfaceNodes:
         """Normal-offset chart point r + t * n; t broadcasts against the nodes."""
         return self.position + _arr(t)[..., None] * self.frame[..., 0]
 
-    def in_frame(self, v) -> Array:
-        """Frame components E^T v of Euclidean vectors v at the nodes."""
-        return _transpose_times(self.frame, v)
+    def identity(self, t) -> IdentityMap:
+        """x = ``point(t)``, E^T x and the coordinate partials of E^T x.
 
-    def identity_partials(self, t, x) -> Array:
-        """Coordinate partials of the frame components of the map x -> x.
-
-        ``x = point(t)``.  They carry the (1 + t*kappa) stretch of the offset
-        chart and the turning of the frame along the surface.
+        Partials column 0 is E^T e_t, column 1 E^T (a_theta (1 + t kappa_theta)
+        e_theta) + (dE/dtheta)^T x, column 2 likewise in z: the stretch of the
+        offset chart and the turning of the frame.  Each sum over the rows of a
+        (3, 3) array runs in the order 0, 1, 2, as ``np.einsum("...ik,...i->...k")``
+        does; the products use component-major copies of the (theta, z) arrays
+        and six node-sized scratch arrays.
         """
         t = _arr(t)
-        e = self.frame
         c = self.coeffs
-        dp_th = (c.a_theta * (1.0 + t * c.kappa_theta))[..., None] * e[..., 1]
-        dp_z = (c.a_z * (1.0 + t * c.kappa_z))[..., None] * e[..., 2]
-        out = np.empty(x.shape + (3,))
-        out[..., 0] = self.in_frame(e[..., 0])
-        out[..., 1] = self.in_frame(dp_th) + _transpose_times(self.d_theta, x)
-        out[..., 2] = self.in_frame(dp_z) + _transpose_times(self.d_z, x)
-        return out
+        shape = np.broadcast_shapes(t.shape, self.frame.shape[:-2])
+        # scratch first, plane copies last: other orders raised sweeps' peak RSS (BENCH_12.json)
+        scratch = np.empty((6,) + shape)
+        x, comp, par = np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape + (3, 3))
+        tmp, fac, acc, *col = scratch
+        planes = (self.frame, self.d_theta, self.d_z)
+        e, d_th, d_z = (np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))) for a in planes)
+
+        def rows_sum(m, k, v, out):
+            # out = (m_0k v(0) + m_1k v(1)) + m_2k v(2); v(i) may compute into tmp
+            np.multiply(m[0, k], v(0), out=out)
+            for i in (1, 2):
+                out += np.multiply(m[i, k], v(i), out=tmp)
+
+        np.add(self.position, np.multiply(t[..., None], self.frame[..., 0], out=x), out=x)
+        x_at = np.moveaxis(x, -1, 0).__getitem__  # x_at(i) is x[..., i]
+        par[..., :, 0] = np.stack([(e[0, k] * e[0, 0] + e[1, k] * e[1, 0]) + e[2, k] * e[2, 0] for k in range(3)], -1)
+        for j, (a, kappa, d) in enumerate(((c.a_theta, c.kappa_theta, d_th), (c.a_z, c.kappa_z, d_z)), start=1):
+            np.multiply(t, kappa, out=fac)
+            fac += 1.0
+            fac *= a
+
+            def stretched(i):  # a (1 + t kappa) e_ij, recomputed rather than stored
+                return np.multiply(fac, e[i, j], out=tmp)
+
+            for k in range(3):
+                rows_sum(e, k, stretched, col[k])
+                rows_sum(d, k, x_at, acc)
+                col[k] += acc
+            par[..., :, j] = np.moveaxis(scratch[3:], 0, -1)
+        for k in range(3):
+            rows_sum(e, k, x_at, comp[..., k])
+        return IdentityMap(comp, par, x)
 
 
 @dataclass(frozen=True)

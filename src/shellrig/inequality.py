@@ -22,7 +22,7 @@ import numpy as np
 
 from .fields import FrameField, gradient_from_partials, on_grid
 from .fields import frame_gradient  # noqa: F401  (tools bind inequality.frame_gradient)
-from .geometry import ThinDomain, embed  # noqa: F401  (re-exported: tools bind inequality.embed)
+from .geometry import ThinDomain, embed, matvec  # noqa: F401  (re-exported: tools bind inequality.embed)
 from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, lp_norm, lp_norms, weighted_mean
 
@@ -105,15 +105,14 @@ def _residual(comp: Array, rotation, grid: QuadratureGrid) -> Array:
     For a stack of fields (a leading seed axis on ``comp``) ``rotation`` is
     one R for every seed or a list of one R per seed.
     """
-    # These stay einsum: it sums the contiguous j axis in its own order, so
-    # a sum written out term by term changes the last bit of the residual.
-    y_e = np.einsum("...ij,...j->...i", grid.nodes.frame, comp)
+    # matvec sums each entry in one fixed order, so the bits do not depend on comp's layout
+    y_e = matvec(grid.nodes.frame, comp)
     x = grid.identity.points
     if isinstance(rotation, list):
         for y_s, r in zip(y_e, rotation):
-            y_s -= np.einsum("ij,...j->...i", r, x)
+            y_s -= matvec(r, x)
     else:
-        y_e -= np.einsum("ij,...j->...i", rotation, x)
+        y_e -= matvec(rotation, x)
     return y_e
 
 

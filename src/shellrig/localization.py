@@ -17,7 +17,7 @@ import numpy as np
 
 from .fields import FrameField, gradient_from_partials, on_grid
 from .fields import frame_gradient  # noqa: F401  (tools bind localization.frame_gradient)
-from .geometry import ProfileError, ThicknessProfile, ThinDomain
+from .geometry import ProfileError, ThicknessProfile, ThinDomain, matvec
 from .geometry import embed  # noqa: F401  (tools bind localization.embed)
 from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, lp_norm
@@ -249,8 +249,8 @@ def patch_trace(
     dist = _group_lp(ids, w, dist_nodes, n, p)
 
     x_e = grid.nodes.point(grid.t)
-    v_e = np.einsum("...ij,...j->...i", grid.nodes.frame, comp)
-    imr_x = x_e - np.einsum("...ij,...j->...i", rot[ids], x_e)
+    v_e = matvec(grid.nodes.frame, comp)
+    imr_x = x_e - matvec(rot[ids], x_e)
     b = _group_mean(ids, w, v_e + imr_x, n, tot)
     b_worst = _group_mean(ids, w, imr_x, n, tot)
 
@@ -334,7 +334,7 @@ def rotation_lower_bound_check(
         raise ValueError("patch rectangle contains no grid nodes")
 
     x_e = grid.nodes.point(grid.t)
-    imr_x = x_e - np.einsum("ij,...j->...i", r, x_e)
+    imr_x = x_e - matvec(r, x_e)
     if offset is None:
         b = np.einsum("tij,tij...->...", w, imr_x) / vol
     else:

@@ -13,22 +13,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .geometry import ChartDegeneracyError, SurfaceNodes, ThinDomain, volume_jacobian
+from .geometry import ChartDegeneracyError, IdentityMap, SurfaceNodes, ThinDomain, volume_jacobian
 
 Array = np.ndarray
-
-
-class IdentityMap(NamedTuple):
-    """The map x -> x on every node of a grid (read-only arrays)."""
-
-    components: Array  # frame components E^T x
-    partials: Array
-    points: Array  # embedded points x
 
 
 @dataclass(frozen=True)
@@ -45,8 +36,9 @@ class QuadratureGrid:
     nodes, as on a uniform shell), on which fields are evaluated; ``nodes``,
     the frame and chart coefficients on the (ntheta, nz) nodes only, since
     none depends on t; and ``identity``, the embedded points and the frame
-    components and partials of the map x -> x on all nodes.  The latter are
-    3-d arrays (about 120 bytes per node), so hold a grid only while its
+    components and partials of the map x -> x on all nodes, built in one
+    pass from ``nodes`` by ``SurfaceNodes.identity``.  The latter are 3-d
+    arrays (about 120 bytes per node), so hold a grid only while its
     reports are evaluated: a sweep keeps ``resolution``, not the grid.
 
     ``memo`` holds what depends on a field as well as the grid.  Only the
@@ -96,8 +88,7 @@ class QuadratureGrid:
 
     @cached_property
     def identity(self) -> IdentityMap:
-        x = self.nodes.point(self.t)
-        out = IdentityMap(self.nodes.in_frame(x), self.nodes.identity_partials(self.t, x), x)
+        out = self.nodes.identity(self.t)
         for a in out:
             a.flags.writeable = False
         return out

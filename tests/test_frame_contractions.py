@@ -1,10 +1,11 @@
 """The frame contractions equal the einsum formulas they replaced, bit for bit.
 
-The references below are the einsum expressions ``SurfaceNodes.in_frame``,
-``SurfaceNodes.identity_partials``, the E^T R E term of
-``interpolation_sides`` and the E g E^T of ``localization._nodal`` and
-``inequality._best_fit_rotation`` used before they were written as explicit
-sums (``matrixops.conjugate_3x3``).
+The references below are the einsum expressions that the x -> x map
+(``SurfaceNodes.identity``: its frame components and partials), the M v
+products of ``inequality._residual`` and ``localization`` (``geometry.matvec``),
+the E^T R E term of ``interpolation_sides`` and the E g E^T of
+``localization._nodal`` and ``inequality._best_fit_rotation``
+(``matrixops.conjugate_3x3``) used before they were written as explicit sums.
 """
 
 import numpy as np
@@ -47,20 +48,75 @@ def _same(a, b):
     assert np.array_equal(a, b)
 
 
-def test_in_frame_matches_einsum(grid):
-    rng = np.random.default_rng(11)
-    nodes = grid.nodes
-    v2 = rng.normal(size=grid.resolution[1:] + (3,)) * 10.0 ** rng.uniform(-8, 3, size=(1, 1, 3))
-    v3 = rng.normal(size=grid.resolution + (3,))
-    for v in (v2, v3, nodes.frame[..., 0], nodes.point(grid.t)):
-        _same(nodes.in_frame(v), _in_frame_einsum(nodes, v))
+def _matvec_einsum(m, v):
+    return np.einsum("...ij,...j->...i", m, v)
 
 
-def test_identity_partials_match_einsum(grid):
+def _mixed(rng, shape):
+    """Gaussian entries scaled by 10^u, u uniform in [-8, 3] per entry."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 3, size=shape)
+
+
+def test_identity_map_matches_einsum(grid):
     nodes = grid.nodes
-    for t in (grid.t, grid.t[0], np.zeros(grid.resolution[1:])):
+    for t in (grid.t, grid.t_axis, grid.t[0], np.zeros(grid.resolution[1:]), 0.0):
         x = nodes.point(t)
-        _same(nodes.identity_partials(t, x), _identity_partials_einsum(nodes, t, x))
+        ident = nodes.identity(t)
+        _same(ident.points, x)
+        _same(ident.components, _in_frame_einsum(nodes, x))
+        _same(ident.partials, _identity_partials_einsum(nodes, np.asarray(t, dtype=float), x))
+        assert all(a.flags.c_contiguous for a in ident)
+
+
+def test_grid_identity_is_the_fused_map(grid):
+    ident = grid.identity
+    _same(ident.points, grid.nodes.point(grid.t))
+    _same(ident.components, _in_frame_einsum(grid.nodes, ident.points))
+    _same(ident.partials, _identity_partials_einsum(grid.nodes, grid.t, ident.points))
+
+
+def test_matvec_matches_einsum_on_every_layout_it_replaces(grid):
+    # the layouts of inequality._residual and localization.patch_trace /
+    # rotation_lower_bound_check: the frame against nodal and seed-stacked
+    # vectors, gathered per-node rotations and a lone R against x
+    rng = np.random.default_rng(11)
+    frame = grid.nodes.frame
+    x = grid.identity.points
+    comp = _mixed(rng, grid.resolution + (3,))
+    stacked = _mixed(rng, (5,) + grid.resolution + (3,))
+    rot = mo.random_rotation(rng, 6)
+    ids = rng.integers(0, 6, size=grid.resolution)
+    cases = [(frame, comp), (frame, stacked), (frame, x), (rot[ids], x), (rot[ids], comp)]
+    cases += [(r, x) for r in rot] + [(np.eye(3), x), (_mixed(rng, (3, 3)), stacked)]
+    for m, v in cases:
+        out = geo.matvec(m, v)
+        assert out.flags.c_contiguous
+        _same(out, _matvec_einsum(m, v))
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (7,), (4, 9), (2, 6, 6)])
+def test_matvec_matches_einsum_on_mixed_magnitudes(batch):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        m, v = _mixed(rng, batch + (3, 3)), _mixed(rng, batch + (3,))
+        for mm in [m, m[..., :1, :, :]] if batch else [m]:  # per-node and broadcast matrices
+            _same(geo.matvec(mm, v), _matvec_einsum(mm, v))
+
+
+def test_einsum_order_follows_the_vector_layout():
+    # numpy's einsum sums (m_i0 v_0 + m_i2 v_2) + m_i1 v_1 when the j axis of v
+    # is contiguous (what matvec reproduces), and (m_i0 v_0 + m_i1 v_1) + m_i2 v_2
+    # when it is strided, as for the columns v[..., :, k] that matrixops.svd3
+    # multiplies by; that is why svd3 keeps its einsums.
+    rng = np.random.default_rng(17)
+    f, v = _mixed(rng, (5000, 3, 3)), _mixed(rng, (5000, 3, 3))
+    terms = [f[..., :, j] * v[..., None, j, 0] for j in range(3)]
+    strided = _matvec_einsum(f, v[..., :, 0])
+    _same(strided, (terms[0] + terms[1]) + terms[2])
+    assert not np.array_equal(strided, (terms[0] + terms[2]) + terms[1])
+    contiguous = _matvec_einsum(f, np.ascontiguousarray(v[..., :, 0]))
+    _same(contiguous, (terms[0] + terms[2]) + terms[1])
+    _same(contiguous, geo.matvec(f, v[..., :, 0]))
 
 
 def test_frame_conjugate_matches_einsum(grid):

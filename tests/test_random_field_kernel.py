@@ -6,6 +6,8 @@ factors multiply in the same order, and ``np.sum`` adds the modes along a
 contiguous last axis.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,25 @@ def test_random_field_matches_broadcast_formula_on_any_shape(shapes, modes):
     t0, t1, z0, z1 = s.domain
     args = (rng.uniform(-0.01, 0.01, shapes[0]), rng.uniform(t0, t1, shapes[1]), rng.uniform(z0, z1, shapes[2]))
     _same_as_reference(fl.random_smooth_field(8, 0.3, modes, s), _broadcast_field(8, 0.3, modes, s), args)
+
+
+def test_bump_chunk_partials_peak_and_bits():
+    # One 2048-node battery chunk: 8 seeds on a 4x8x8 bump grid, where the t
+    # angles cover every node.  The t sine goes into the term buffer, so the
+    # partials peak below the 876 KB that a separate sine array made them take.
+    s = geo.make_surface("sphere")
+    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile("bump", 1e-2, s)), (4, 8, 8))
+    seeds = list(range(8))
+    field = fl.random_smooth_field(seeds, 1.0, 4, s)
+    args = (grid.t_axis, *grid.plane)
+    assert grid.t_axis.shape == grid.resolution
+    field.partials(*args)
+    tracemalloc.start()
+    try:
+        par = field.partials(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 780_000, peak
+    for seed, par_s in zip(seeds, par):
+        assert par_s.tobytes() == _broadcast_field(seed, 1.0, 4, s)[1](*args).tobytes()
