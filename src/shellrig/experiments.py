@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -260,6 +259,8 @@ def _map_h(config: SweepConfig, work, h_values):
     results = []
     try:
         if config.threads > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only threaded sweeps pay its import
+
             with ThreadPoolExecutor(max_workers=config.threads) as pool:
                 futures = [pool.submit(work, h) for h in h_values]
                 try:

@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shellrig import cli
 from shellrig import experiments as ex
+from shellrig import norms as nm
 
 FAST_SWEEP = [
     "--num-h", "4", "--h-min", "1e-2", "--nt", "4", "--ntheta", "32", "--nz", "24",
@@ -424,3 +429,42 @@ def test_cached_parser_carries_no_state(tmp_path, monkeypatch, capsys):
     fresh = _session(tmp_path / "fresh")
     assert cached == fresh
     assert capsys.readouterr().err.count("error: p must satisfy 1 < p < infinity") == 2
+
+
+# The start-up check runs in a fresh interpreter: the benchmark's battery call
+# (4-, 8- and 8-point rules) builds only even rules, which need no scipy.
+START_UP = """
+import sys
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+import shellrig.cli as cli
+assert not loaded("scipy", "concurrent.futures"), loaded("scipy", "concurrent.futures")
+argv = ["sweep", "--surface", "sphere", "--field", "random", "--seeds", "20",
+        "--h-min", "1e-3", "--h-max", "1e-1", "--num-h", "4",
+        "--nt", "4", "--ntheta", "8", "--nz", "8", "--out", sys.argv[1]]
+assert cli.main(argv) == 0
+assert not loaded("scipy"), loaded("scipy")
+"""
+
+
+def test_start_up_and_even_rules_load_no_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", START_UP, str(tmp_path / "battery")],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "battery" / "sweep.csv").exists()
+
+
+def test_odd_rules_write_the_rows_of_scipys_rule(tmp_path, monkeypatch):
+    scipy_rule = pytest.importorskip("scipy.special").roots_legendre
+    argv = ["sweep", "--num-h", "4", "--h-min", "1e-2", "--nt", "3", "--ntheta", "21", "--nz", "15"]
+    outs = {}
+    for name, rule in (("numpy", nm.roots_legendre), ("scipy", scipy_rule)):
+        monkeypatch.setattr(nm, "roots_legendre", rule)
+        nm._gauss_legendre.cache_clear()
+        outs[name] = tmp_path / name
+        assert run([*argv, "--out", str(outs[name])]) == 0
+    nm._gauss_legendre.cache_clear()
+    for name in ("sweep.csv", "fit.json"):
+        assert (outs["numpy"] / name).read_bytes() == (outs["scipy"] / name).read_bytes()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +85,35 @@ def test_gauss_legendre_rule_is_computed_once_per_node_count(monkeypatch):
         fresh = roots(n)
         assert nodes.tobytes() == fresh[0].tobytes() and weights.tobytes() == fresh[1].tobytes()
     assert sorted(calls) == [3, 21]
+
+
+# every count up to 128 (the sharpness sweep's adaptive theta counts 51 and 110 among
+# them), its counts 235 and 506, and larger odd counts
+RULE_COUNTS = (*range(2, 129), 235, 506, 613, 1001)
+
+RULE_CHECK = """
+import sys
+from scipy.special import roots_legendre as reference
+from shellrig.norms import roots_legendre
+for n in map(int, sys.argv[1:]):
+    ours, theirs = roots_legendre(n), reference(n)
+    if any(a.tobytes() != b.tobytes() for a, b in zip(ours, theirs)):
+        print(n)
+"""
+
+
+@pytest.mark.parametrize("blas_threads", [None, "1"], ids=["default-blas-threads", "one-blas-thread"])
+def test_numpy_rule_has_the_bytes_of_scipys_rule(blas_threads):
+    pytest.importorskip("scipy.special")
+    src = str(Path(nm.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if blas_threads:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", RULE_CHECK, *map(str, RULE_COUNTS)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "", f"rules that differ: {proc.stdout.split()}"
 
 
 def test_domain_construction_catches_degeneracy():
