@@ -40,7 +40,7 @@ from .inequality import (
     korn_linear_sides,
 )
 from .localization import partition, patch_trace, rotation_lower_bound_check, shell_to_domain_trace
-from .matrixops import best_fit_rotation_L2, dist_SO3, nearest_rotation
+from .matrixops import dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, build_grid, lp_norm
 
 __version__ = "0.1.0"
@@ -57,7 +57,6 @@ __all__ = [
     "ThinDomain",
     "ansatz_displacement",
     "balance_form",
-    "best_fit_rotation_L2",
     "build_grid",
     "bump_profile",
     "default_ansatz_profile",

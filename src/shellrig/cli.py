@@ -402,6 +402,8 @@ def _cmd_dist_so3(args) -> int:
 def _cmd_doubling(args) -> int:
     if min(args.num_r, args.centers) < 1 or args.budget < 0:
         raise UsageError("--num-r and --centers must be at least 1 and --budget nonnegative")
+    if min(args.r_min, args.r_max) <= 0:
+        raise UsageError("--r-min and --r-max must be positive")
     surface = geo.make_surface(args.surface, **_surface_params(args))
     rng = np.random.default_rng(args.seed)
     t0, t1, z0, z1 = surface.domain

@@ -158,6 +158,11 @@ class SweepConfig:
             raise ValueError("amplitude must be >= 0")
         if self.modes < 1:
             raise ValueError("modes must be >= 1")
+        for name in ("nt", "ntheta", "nz"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2: every grid dimension needs at least 2 nodes")
+        if self.slope_tol < 0:
+            raise ValueError("slope_tol must be >= 0")
         surf = geo.make_surface(self.surface, **self.surface_params)
         h0 = surf.h0()
         if self.h_max >= h0:

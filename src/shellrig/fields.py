@@ -63,13 +63,6 @@ class FrameField:
             raise ValueError("kind must be 'deformation' or 'displacement'")
 
 
-def check_field_finite(field: FrameField, t, theta, z) -> None:
-    c = field.components(t, theta, z)
-    p = field.partials(t, theta, z)
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(p))):
-        raise ValueError("field produced non-finite values")
-
-
 # -- frame gradient ------------------------------------------------------------
 
 
@@ -427,9 +420,8 @@ class AnsatzProfile:
 
     ``w`` and the partial maps take (xi, z) where xi is the stretched
     in-plane coordinate; the support is |xi| <= xi_halfwidth,
-    |z - z_center| <= z_halfwidth.  ``epsilon`` is the default linearization
-    amplitude used when a deformation is built from the resulting
-    displacement.
+    |z - z_center| <= z_halfwidth.  A sweep takes the linearization
+    amplitude epsilon from ``SweepConfig.epsilon``.
     """
 
     w: Callable
@@ -441,7 +433,6 @@ class AnsatzProfile:
     xi_halfwidth: float
     z_center: float
     z_halfwidth: float
-    epsilon: float = 1e-3
 
     def support_check(self) -> None:
         xi = np.linspace(-self.xi_halfwidth, self.xi_halfwidth, 41)
@@ -459,35 +450,31 @@ class AnsatzProfile:
                 raise ValueError("profile does not vanish on the z support boundary")
 
 
-def default_ansatz_profile(
-    surface: ParamSurface,
-    xi_halfwidth: float = 1.0,
-    z_fraction: float = 0.9,
-    epsilon: float = 1e-3,
-) -> AnsatzProfile:
-    """Separable polynomial-bump profile W(xi, z) = b(xi/w) * b((z - zc)/wz)."""
+def default_ansatz_profile(surface: ParamSurface) -> AnsatzProfile:
+    """Separable polynomial-bump profile W(xi, z) = b(xi) * b((z - zc)/wz).
+
+    The support is |xi| <= 1 and the central 90% of the surface's z-span.
+    """
     z0, z1 = surface.z_span
     zc = 0.5 * (z0 + z1)
-    zhw = z_fraction * 0.5 * (z1 - z0)
-    wx = float(xi_halfwidth)
+    zhw = 0.9 * 0.5 * (z1 - z0)
 
-    def scale(f_xi, f_z, sx=1.0, sz=1.0):
+    def scale(f_xi, f_z, sz=1.0):
         def call(xi, z):
-            return sx * sz * f_xi(_arr(xi) / wx) * f_z((_arr(z) - zc) / zhw)
+            return sz * f_xi(_arr(xi)) * f_z((_arr(z) - zc) / zhw)
 
         return call
 
     prof = AnsatzProfile(
         w=scale(poly_bump, poly_bump),
-        w_xi=scale(poly_bump_d1, poly_bump, sx=1.0 / wx),
+        w_xi=scale(poly_bump_d1, poly_bump),
         w_z=scale(poly_bump, poly_bump_d1, sz=1.0 / zhw),
-        w_xixi=scale(poly_bump_d2, poly_bump, sx=1.0 / wx**2),
-        w_xiz=scale(poly_bump_d1, poly_bump_d1, sx=1.0 / wx, sz=1.0 / zhw),
+        w_xixi=scale(poly_bump_d2, poly_bump),
+        w_xiz=scale(poly_bump_d1, poly_bump_d1, sz=1.0 / zhw),
         w_zz=scale(poly_bump, poly_bump_d2, sz=1.0 / zhw**2),
-        xi_halfwidth=wx,
+        xi_halfwidth=1.0,
         z_center=zc,
         z_halfwidth=zhw,
-        epsilon=epsilon,
     )
     prof.support_check()
     return prof
@@ -569,14 +556,14 @@ def ansatz_displacement(
     )
 
 
-def sampled_displacement(path, domain: ThinDomain, fd_step: float = 1e-5) -> FrameField:
+def sampled_displacement(path, domain: ThinDomain) -> FrameField:
     """Displacement interpolated from nodal samples in the CSV schema.
 
     The samples must form a tensor grid: identical normalized thickness
     nodes in every (theta, z) column, as produced by exporting grid values.
     Components are interpolated linearly in (normalized t, theta, z);
-    partials are central finite differences with the given step, one-sided
-    at the chart boundary.
+    partials are central finite differences with step 1e-5 in t and 1e-5
+    times the chart span in theta and z, one-sided at the chart boundary.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -623,7 +610,7 @@ def sampled_displacement(path, domain: ThinDomain, fd_step: float = 1e-5) -> Fra
     def par(t, theta, z):
         t, theta, z = np.broadcast_arrays(_arr(t), _arr(theta), _arr(z))
         out = np.empty(t.shape + (3, 3))
-        steps = (fd_step, fd_step * (t1d - t0d), fd_step * (z1d - z0d))
+        steps = (1e-5, 1e-5 * (t1d - t0d), 1e-5 * (z1d - z0d))
         for j, s in enumerate(steps):
             lo = [t.copy(), theta.copy(), z.copy()]
             hi = [t.copy(), theta.copy(), z.copy()]

@@ -169,7 +169,6 @@ class ParamSurface:
     """
 
     name: str
-    params: dict
     domain: tuple[float, float, float, float]  # theta0, theta1, z0, z1
     position: Callable
     tangent_theta: Callable
@@ -254,20 +253,20 @@ class ParamSurface:
 
     # -- scalar summaries -----------------------------------------------------
 
-    def max_abs_curvature(self, n: int = 64) -> float:
-        th, zz = self.interior_samples(n)
+    def max_abs_curvature(self) -> float:
+        th, zz = self.interior_samples(64)
         k = np.maximum(np.abs(self.kappa_theta(th, zz)), np.abs(self.kappa_z(th, zz)))
         return float(np.max(k))
 
-    def h0(self, n: int = 64) -> float:
+    def h0(self) -> float:
         """Chart-nondegeneracy thickness bound, 0.5 / max |kappa| (inf if flat)."""
-        k = self.max_abs_curvature(n)
+        k = self.max_abs_curvature()
         return math.inf if k == 0.0 else 0.5 / k
 
-    def metric_extents(self, n: int = 64) -> tuple[float, float]:
+    def metric_extents(self) -> tuple[float, float]:
         """Physical (metric-weighted) side lengths of the chart rectangle."""
         t0, t1, z0, z1 = self.domain
-        th, zz = self.interior_samples(n)
+        th, zz = self.interior_samples(64)
         return (
             float((t1 - t0) * np.mean(self.a_theta(th, zz))),
             float((z1 - z0) * np.mean(self.a_z(th, zz))),
@@ -279,9 +278,9 @@ def gaussian_curvature(surface: ParamSurface, theta, z) -> Array:
     return _arr(surface.kappa_theta(theta, z)) * _arr(surface.kappa_z(theta, z))
 
 
-def _validate_surface(s: ParamSurface, n: int = 21) -> ParamSurface:
+def _validate_surface(s: ParamSurface) -> ParamSurface:
     # each check asks for the good case, so that a NaN fails it
-    th, zz = s.interior_samples(n)
+    th, zz = s.interior_samples(21)
     ath, az = _arr(s.a_theta(th, zz)), _arr(s.a_z(th, zz))
     if not (np.all(ath > 0) and np.all(az > 0)):
         raise ValueError(f"{s.name}: metric coefficients must be positive on the patch")
@@ -318,7 +317,6 @@ def plate(lx: float = 1.0, ly: float = 1.0) -> ParamSurface:
     return _validate_surface(
         ParamSurface(
             name="plate",
-            params={"lx": float(lx), "ly": float(ly)},
             domain=(0.0, float(lx), 0.0, float(ly)),
             position=lambda theta, z: _vec(theta, z, 0.0 * _arr(theta)),
             tangent_theta=lambda theta, z: _vec(_one(theta, z), 0.0 * _arr(z), 0.0 * _arr(z)),
@@ -346,7 +344,6 @@ def cylinder(
     return _validate_surface(
         ParamSurface(
             name="cylinder",
-            params={"radius": rho, "theta_span": tuple(theta_span), "z_span": tuple(z_span)},
             domain=(theta_span[0], theta_span[1], z_span[0], z_span[1]),
             position=lambda theta, z: _vec(
                 rho * np.cos(theta), rho * np.sin(theta), _arr(z) + 0.0 * _arr(theta)
@@ -378,7 +375,6 @@ def sphere(
     return _validate_surface(
         ParamSurface(
             name="sphere",
-            params={"radius": rho, "theta_span": tuple(theta_span), "z_span": tuple(z_span)},
             domain=(theta_span[0], theta_span[1], z_span[0], z_span[1]),
             position=lambda theta, z: _vec(
                 rho * np.sin(z) * np.cos(theta),
@@ -434,7 +430,6 @@ def pseudosphere(
     return _validate_surface(
         ParamSurface(
             name="pseudosphere",
-            params={"waist": a, "theta_span": tuple(theta_span), "z_span": tuple(z_span)},
             domain=(theta_span[0], theta_span[1], z_span[0], z_span[1]),
             position=lambda theta, z: _vec(
                 a * ch(z) * np.cos(theta), a * ch(z) * np.sin(theta), _arr(z) + 0.0 * _arr(theta)
@@ -481,36 +476,6 @@ def make_surface(name: str, **params) -> ParamSurface:
     return builder(**params)
 
 
-def swap_chart(surface: ParamSurface) -> ParamSurface:
-    """The same geometric patch with the roles of theta and z exchanged.
-
-    Useful for checking that evaluations are insensitive to the chart
-    labelling; the normal (and so the frame vector e_t) is unchanged.
-    """
-    t0, t1, z0, z1 = surface.domain
-
-    def swap2(f):
-        return lambda theta, z: f(z, theta)
-
-    return ParamSurface(
-        name=surface.name + "-swapped",
-        params=dict(surface.params),
-        domain=(z0, z1, t0, t1),
-        position=swap2(surface.position),
-        tangent_theta=swap2(surface.tangent_z),
-        tangent_z=swap2(surface.tangent_theta),
-        normal=swap2(surface.normal),
-        a_theta=swap2(surface.a_z),
-        a_z=swap2(surface.a_theta),
-        kappa_theta=swap2(surface.kappa_z),
-        kappa_z=swap2(surface.kappa_theta),
-        da_theta_dtheta=swap2(surface.da_z_dz),
-        da_theta_dz=swap2(surface.da_z_dtheta),
-        da_z_dtheta=swap2(surface.da_theta_dz),
-        da_z_dz=swap2(surface.da_theta_dtheta),
-    )
-
-
 # -- thickness profiles --------------------------------------------------------
 
 
@@ -536,8 +501,8 @@ class ThicknessProfile:
         if self.h <= 0:
             raise ProfileError("thickness parameter h must be positive")
 
-    def validate_on(self, surface: ParamSurface, n: int = 33) -> None:
-        th, zz = surface.interior_samples(n)
+    def validate_on(self, surface: ParamSurface) -> None:
+        th, zz = surface.interior_samples(33)
         tol = 1e-9 * self.h
         for label, g in (("g1", self.g1), ("g2", self.g2)):
             vals = _arr(g(th, zz))
@@ -559,10 +524,10 @@ class ThicknessProfile:
             )
 
     @staticmethod
-    def _surface_grad_mag(surface, g, th, zz, step: float = 1e-6) -> Array:
+    def _surface_grad_mag(surface, g, th, zz) -> Array:
         t0, t1, z0, z1 = surface.domain
-        sth = step * (t1 - t0)
-        szz = step * (z1 - z0)
+        sth = 1e-6 * (t1 - t0)
+        szz = 1e-6 * (z1 - z0)
         dth = (g(th + sth, zz) - g(th - sth, zz)) / (2 * sth)
         dzz = (g(th, zz + szz) - g(th, zz - szz)) / (2 * szz)
         return np.hypot(dth / surface.a_theta(th, zz), dzz / surface.a_z(th, zz))
@@ -651,11 +616,11 @@ class ThinDomain:
     def t_bounds(self, theta, z) -> tuple[Array, Array]:
         return -_arr(self.profile.g1(theta, z)), _arr(self.profile.g2(theta, z))
 
-    def require_inside(self, t, theta, z, pad: float = 0.0) -> None:
+    def require_inside(self, t, theta, z) -> None:
         self.surface.require_inside(theta, z)
         lo, hi = self.t_bounds(theta, z)
         t = _arr(t)
-        bad = (t - pad < lo - 1e-15) | (t + pad > hi + 1e-15)
+        bad = (t < lo - 1e-15) | (t > hi + 1e-15)
         if np.any(bad):
             off = np.atleast_1d(t)[np.atleast_1d(bad)].flat[0]
             raise DomainError(f"t={off!r} outside the thickness interval (-g1, g2)")

@@ -116,12 +116,6 @@ def _residual(comp: Array, rotation, grid: QuadratureGrid) -> Array:
     return y_e
 
 
-def optimal_offset(y: FrameField, rotation: Array, domain: ThinDomain, grid: QuadratureGrid) -> Array:
-    """Grid mean of y - R x, the L^2-optimal offset (used for all p)."""
-    comp, _ = on_grid(y, grid)
-    return weighted_mean(_residual(comp, np.asarray(rotation, dtype=float), grid), grid)
-
-
 def _stacked(comp: Array, par: Array, grid: QuadratureGrid, meta) -> tuple[Array, Array, list, bool]:
     """comp and par with a seed axis (added for a lone field), one meta per seed, and whether it was there.
 

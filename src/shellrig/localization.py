@@ -59,9 +59,6 @@ class PatchDecomposition:
         zz = self.z_edges.tolist()
         return [(t0, t1, z0, z1) for t0, t1 in zip(th, th[1:]) for z0, z1 in zip(zz, zz[1:])]
 
-    def cell_rect(self, i: int) -> tuple[float, float, float, float]:
-        return self.cell_rects()[i]
-
     def cell_ids(self, grid: QuadratureGrid) -> Array:
         """Cell index for every grid node, shape (nt, ntheta, nz)."""
         ith = np.clip(np.searchsorted(self.theta_edges, grid.theta, side="right") - 1, 0, self.m_theta - 1)
@@ -375,22 +372,15 @@ class ShellDomainTrace:
     per_patch: list = dc_field(default_factory=list)
 
 
-def shell_to_domain_trace(
-    v: FrameField,
-    domain: ThinDomain,
-    grid: QuadratureGrid,
-    p: float,
-    patch_scale: float = 10.0,
-    max_cells: int = 24,
-) -> ShellDomainTrace:
+def shell_to_domain_trace(v: FrameField, domain: ThinDomain, grid: QuadratureGrid, p: float) -> ShellDomainTrace:
     """Trace the comparison between the full domain and its constant-thickness core.
 
     The core shell has half-thickness a = min(g1, g2) over the patch, so it
     is contained in the domain whenever the profile is admissible.  Patches
-    have in-plane size about ``patch_scale * h`` (clipped to ``max_cells``
-    cells per direction so desk-scale grids stay resolvable).  Per patch,
-    best-fit rotations on the core and on the full column quantify the
-    triangle-inequality chain; the aggregate ratio
+    have in-plane size about 10 h, with at most 24 cells per direction so
+    desk-scale grids stay resolvable.  Per patch, best-fit rotations on the
+    core and on the full column quantify the triangle-inequality chain; the
+    aggregate ratio
     grad_domain / (dist_domain + grad_core) is the bounded empirical
     constant of the passage.
     """
@@ -420,9 +410,7 @@ def shell_to_domain_trace(
     core_grid = grid.on_domain(core)
 
     l_th, l_z = surface.metric_extents()
-    target = patch_scale * domain.h
-    target = max(target, max(l_th, l_z) / max_cells)
-    dec = _build_partition(domain, target, gamma=1.0)
+    dec = _build_partition(domain, max(10.0 * domain.h, max(l_th, l_z) / 24), gamma=1.0)
 
     p_f = float(p)
     n = dec.count

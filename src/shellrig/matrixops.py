@@ -1,4 +1,4 @@
-"""3x3 matrix kernels: distance to the rotation group, polar factors, rotation fitting.
+"""3x3 matrix kernels: distance to the rotation group, polar factors, rotation sampling.
 
 The eigen/SVD path is self-contained: symmetric eigenvalues come from the
 trigonometric solution of the characteristic cubic polished by a guarded
@@ -24,7 +24,9 @@ import warnings
 import numpy as np
 
 JACOBI_TOL = 1e-12
+_JACOBI_SWEEPS = 24  # sweep limit of jacobi_eigh_3x3
 _DIST_BLOCK = 4096  # matrices per block of dist_SO3
+_BRUTE_CHUNK = 65536  # rotations per GEMM of brute_force_dist_SO3
 _DEGENERATE_GAP = 1e-8
 
 
@@ -134,26 +136,26 @@ def sym_eigvals_3x3(b: np.ndarray) -> np.ndarray:
     return np.stack(_eigvals(_entries(b)), axis=-1)
 
 
-def jacobi_eigh_3x3(b: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 24):
+def jacobi_eigh_3x3(b: np.ndarray):
     """Eigendecomposition of symmetric 3x3 matrices by cyclic Jacobi rotations.
 
     Returns (eigenvalues descending, eigenvector columns in matching order).
-    Iterates until the off-diagonal mass is below ``tol`` relative to the
-    matrix scale.
+    Iterates until the off-diagonal mass is below ``JACOBI_TOL`` relative to
+    the matrix scale, for at most ``_JACOBI_SWEEPS`` sweeps.
     """
     a = np.array(b, dtype=float)
     v = np.zeros_like(a)
     v[..., 0, 0] = v[..., 1, 1] = v[..., 2, 2] = 1.0
     scale = np.abs(a).sum(axis=(-2, -1)) + 1e-300
 
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = np.sqrt(a[..., 0, 1] ** 2 + a[..., 0, 2] ** 2 + a[..., 1, 2] ** 2)
-        if np.all(off <= tol * scale):
+        if np.all(off <= JACOBI_TOL * scale):
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
             k = 3 - p - q
             apq = a[..., p, q]
-            rotate = np.abs(apq) > (tol / 16.0) * scale
+            rotate = np.abs(apq) > (JACOBI_TOL / 16.0) * scale
             denom = np.where(rotate, 2.0 * apq, 1.0)
             theta = (a[..., q, q] - a[..., p, p]) / denom
             t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta**2 + 1.0))
@@ -188,11 +190,6 @@ def _singular_values(f: np.ndarray) -> list[np.ndarray]:
     """Singular values (s1, s2, s3), descending, of finite 3x3 matrices."""
     b = np.swapaxes(f, -1, -2) @ f
     return [np.sqrt(np.maximum(lam, 0.0)) for lam in _eigvals(_entries(b))]
-
-
-def singular_values_3x3(f: np.ndarray) -> np.ndarray:
-    """Singular values of 3x3 matrices, descending."""
-    return np.stack(_singular_values(_check_finite(f)), axis=-1)
 
 
 def dist_SO3(f: np.ndarray) -> np.ndarray:
@@ -276,25 +273,6 @@ def nearest_rotation(f: np.ndarray, warn_degenerate: bool = True) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", u, d, v)
 
 
-def best_fit_rotation_L2(samples: np.ndarray, weights=None) -> np.ndarray:
-    """Rotation minimizing the weighted sum of squared Frobenius distances.
-
-    Equals the sign-corrected polar factor of the weighted mean matrix.
-    """
-    samples = _check_finite(samples)
-    if samples.ndim < 3:
-        raise ValueError("need a batch of 3x3 samples")
-    if weights is None:
-        mean = samples.mean(axis=-3)
-    else:
-        w = np.asarray(weights, dtype=float)
-        total = w.sum(axis=-1)
-        if np.any(total <= 0):
-            raise ValueError("total weight must be positive")
-        mean = np.einsum("...n,...nij->...ij", w, samples) / total[..., None, None]
-    return nearest_rotation(mean)
-
-
 # -- deterministic rotation sampling ---------------------------------------
 
 
@@ -356,18 +334,18 @@ def random_rotation(rng: np.random.Generator, n: int | None = None) -> np.ndarra
     return quat_to_matrix(rng.normal(size=shape))
 
 
-def brute_force_dist_SO3(f: np.ndarray, rotations: np.ndarray, chunk: int = 65536) -> np.ndarray:
+def brute_force_dist_SO3(f: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """Minimum Frobenius distance to a finite rotation sample (oracle path).
 
     Uses ||f - r||^2 = ||f||^2 + 3 - 2 <f, r> so only one GEMM per chunk of
-    rotations is needed.
+    ``_BRUTE_CHUNK`` rotations is needed.
     """
     f = _check_finite(f)
     flat = f.reshape(-1, 9)
     rot = np.asarray(rotations, dtype=float).reshape(-1, 9)
     best = np.full(flat.shape[0], -np.inf)
-    for lo in range(0, rot.shape[0], chunk):
-        dots = rot[lo : lo + chunk] @ flat.T
+    for lo in range(0, rot.shape[0], _BRUTE_CHUNK):
+        dots = rot[lo : lo + _BRUTE_CHUNK] @ flat.T
         best = np.maximum(best, dots.max(axis=0))
     d2 = (flat**2).sum(axis=1) + 3.0 - 2.0 * best
     return np.sqrt(np.maximum(d2, 0.0)).reshape(f.shape[:-2])

@@ -231,17 +231,17 @@ def build_grid(domain: ThinDomain, resolution: tuple[int, int, int]) -> Quadratu
     )
 
 
-def adaptive_theta_resolution(domain: ThinDomain, base: int = 64, per_scale: int = 16) -> int:
-    """Theta node count resolving sqrt(h)-scale oscillation on the patch."""
+def adaptive_theta_resolution(domain: ThinDomain, base: int = 64) -> int:
+    """Theta node count resolving sqrt(h)-scale oscillation on the patch: 16 nodes per sqrt(h) of theta span."""
     t0, t1, _, _ = domain.surface.domain
-    return max(base, int(math.ceil(per_scale * (t1 - t0) / math.sqrt(domain.h))))
+    return max(base, int(math.ceil(16 * (t1 - t0) / math.sqrt(domain.h))))
 
 
-def _pointwise_magnitude(values: Array, grid: QuadratureGrid, lead: int = 0) -> Array:
-    """Nodal magnitudes of values with ``lead`` leading stack axes before the grid's."""
+def _pointwise_magnitude(values: Array, grid: QuadratureGrid) -> Array:
+    """Nodal magnitudes of a stack of nodal values, one leading stack axis before the grid's."""
     values = np.asarray(values, dtype=float)
     base = tuple(grid.resolution)
-    shape = values.shape[lead:]
+    shape = values.shape[1:]
     if shape == base:
         return np.abs(values)
     if shape == base + (3,):
@@ -255,55 +255,43 @@ def _pointwise_magnitude(values: Array, grid: QuadratureGrid, lead: int = 0) -> 
 
 
 def lp_norm(values: Array, grid: QuadratureGrid, p: float) -> float:
-    """L^p norm over the thin domain; 1 < p < infinity only.
-
-    Scalars use absolute value, vectors the Euclidean norm, matrices the
-    Frobenius norm.
-    """
-    if not (1.0 < p < math.inf):
-        raise ValueError("p must satisfy 1 < p < infinity")
-    mag = _pointwise_magnitude(values, grid)
-    if not np.all(np.isfinite(mag)):
-        raise ValueError("values must be finite on all grid nodes")
-    return float(np.sum(grid.weights * mag**p) ** (1.0 / p))
+    """L^p norm over the thin domain of one field's nodal values: ``lp_norms`` of a one-field stack."""
+    return lp_norms(np.asarray(values)[None], grid, p)[0]
 
 
 def lp_norms(stack: Array, grid: QuadratureGrid, p: float) -> list[float]:
-    """``[lp_norm(v, grid, p) for v in stack]``, with the same bits and errors.
+    """The L^p norm over the thin domain of each field in a stack; 1 < p < infinity only.
 
-    The magnitudes, the finiteness check and the weighted powers are
-    elementwise, so each is one pass over the whole stack.  The sum runs
-    once per seed on that seed's C-contiguous slice, in ``lp_norm``'s order;
-    a reduction that runs across the seed axis adds in another order and
-    moves last bits.
+    ``stack`` holds the nodal values of each field along its first axis.
+    Scalars use absolute value, vectors the Euclidean norm, matrices the
+    Frobenius norm.  The magnitudes, the finiteness check and the weighted
+    powers are elementwise, so each is one pass over the whole stack.  The
+    sum runs once per field on that field's C-contiguous slice, so a field's
+    norm has the same bits in any stack; a reduction that runs across the
+    stack axis adds in another order and moves last bits.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("p must satisfy 1 < p < infinity")
-    mag = _pointwise_magnitude(stack, grid, lead=1)
+    mag = _pointwise_magnitude(stack, grid)
     if not np.all(np.isfinite(mag)):
         raise ValueError("values must be finite on all grid nodes")
     return [float(np.sum(w) ** (1.0 / p)) for w in grid.weights * mag**p]
 
 
 def weighted_mean(values: Array, grid: QuadratureGrid) -> Array:
-    """Volume-weighted mean of nodal scalar or vector values."""
-    values = np.asarray(values, dtype=float)
-    w = grid.weights
-    if values.shape == tuple(grid.resolution):
-        return np.sum(w * values) / grid.volume
-    return np.einsum("tij,tij...->...", w, values) / grid.volume
+    """Volume-weighted mean of nodal vectors or matrices, shape (nt, ntheta, nz, ...)."""
+    return np.einsum("tij,tij...->...", grid.weights, np.asarray(values, dtype=float)) / grid.volume
 
 
 # -- sampled-field CSV schema -----------------------------------------------------
 
 
-def write_samples_csv(path, grid: QuadratureGrid, values: Array, header_values=None) -> None:
+def write_samples_csv(path, grid: QuadratureGrid, values: Array) -> None:
     """Write nodal samples as rows ``t,theta,z,v1,...,vk`` with a header."""
     values = np.asarray(values, dtype=float)
     nt, nth, nz = grid.resolution
     flat_vals = values.reshape(nt * nth * nz, -1)
-    k = flat_vals.shape[1]
-    names = header_values or [f"v{i + 1}" for i in range(k)]
+    names = [f"v{i + 1}" for i in range(flat_vals.shape[1])]
     t, th, zz = grid.mesh()
     cols = np.column_stack(
         [t.reshape(-1), th.reshape(-1), zz.reshape(-1), flat_vals]

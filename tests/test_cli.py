@@ -289,12 +289,24 @@ def test_overflowing_sweep_fails_cleanly(tmp_path, command, field):
         (["trace", "--amplitude", "-1"], "amplitude"),
         (["dist-so3", "--selftest", "--matrices", "0"], "--matrices"),
         (["dist-so3", "--selftest", "--rotations", "0"], "--rotations"),
+        (["sweep", "--nt", "1"], "nt must be >= 2"),
+        (["sweep", "--ntheta", "1"], "ntheta must be >= 2"),
+        (["korn-sweep", "--nz", "1"], "nz must be >= 2"),
+        (["korn-sweep", "--nt", "0"], "nt must be >= 2"),
+        (["doubling", "--r-min", "-0.01"], "--r-min"),
+        (["doubling", "--r-max", "0"], "--r-max"),
+        (["sweep", "--slope-tol", "-1"], "slope_tol"),
     ],
 )
 def test_bad_flags_exit_2_before_any_file(tmp_path, capsys, argv, named):
     out = tmp_path / "run"
-    assert run([*argv, "--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Warning" not in err
     assert not out.exists()
 
 

@@ -1,7 +1,8 @@
 """The 3x3 spectral kernels reproduce the recorded values bit for bit.
 
 ``data/dist_so3_reference.json`` holds, as ``repr`` strings, the output of
-``dist_SO3``, ``singular_values_3x3`` and ``sym_eigvals_3x3`` on one fixed
+``dist_SO3``, the singular values inside it (``_singular_values``, stored
+under the key ``singular_values_3x3``) and ``sym_eigvals_3x3`` on one fixed
 batch that spans more than two evaluation blocks of ``dist_SO3``. The batch
 covers I + A for general and near-skew A at |A| = 1e-2 .. 1e-8, reflections,
 the zero matrix, rank-deficient matrices, repeated singular values and
@@ -56,7 +57,7 @@ def _values() -> dict:
     b = np.swapaxes(f, -1, -2) @ f
     return {
         "dist_SO3": [repr(x) for x in mo.dist_SO3(f).tolist()],
-        "singular_values_3x3": [repr(x) for x in mo.singular_values_3x3(f).ravel().tolist()],
+        "singular_values_3x3": [repr(x) for x in np.stack(mo._singular_values(f), -1).ravel().tolist()],
         "sym_eigvals_3x3": [repr(x) for x in mo.sym_eigvals_3x3(b).ravel().tolist()],
     }
 

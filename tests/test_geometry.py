@@ -295,20 +295,6 @@ def test_doubling_budget_warning():
     assert any("budget" in w for w in est.warnings)
 
 
-# -- swapped charts -----------------------------------------------------------------
-
-
-def test_swap_chart_preserves_geometry():
-    s = geo.sphere()
-    sw = geo.swap_chart(s)
-    rng = np.random.default_rng(11)
-    th, zz = _random_interior(s, 50, rng)
-    assert np.allclose(sw.position(zz, th), s.position(th, zz))
-    assert np.allclose(sw.normal(zz, th), s.normal(th, zz))
-    assert np.allclose(np.asarray(sw.a_theta(zz, th)), np.asarray(s.a_z(th, zz)))
-    assert np.allclose(np.asarray(sw.kappa_z(zz, th)), np.asarray(s.kappa_theta(th, zz)))
-
-
 def test_make_surface_unknown_name():
     with pytest.raises(ValueError, match="unknown surface"):
         geo.make_surface("torus")

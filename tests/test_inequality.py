@@ -68,8 +68,8 @@ def test_report_rigid_transform_invariance(sphere_setup):
     u = fl.random_smooth_field(2, 0.2, 4, s)
     y = fl.displacement_to_deformation(s, u, 0.05)
     r0 = np.eye(3)
-    b0 = ineq.optimal_offset(y, r0, dom, grid)
-    rep0 = ineq.interpolation_sides(y, r0, b0, dom, grid, 2.0)
+    rep0 = ineq.interpolation_sides(y, r0, "mean", dom, grid, 2.0)
+    b0 = np.asarray(rep0.offset)
 
     q = mo.random_rotation(rng)
     c = rng.normal(size=3)
@@ -85,8 +85,8 @@ def test_mean_offset_never_increases_field_term(sphere_setup):
     rng = np.random.default_rng(2)
     u = fl.random_smooth_field(3, 0.3, 4, s)
     y = fl.displacement_to_deformation(s, u, 0.1)
-    b_mean = ineq.optimal_offset(y, np.eye(3), dom, grid)
-    rep_mean = ineq.interpolation_sides(y, np.eye(3), b_mean, dom, grid, 2.0)
+    rep_mean = ineq.interpolation_sides(y, np.eye(3), "mean", dom, grid, 2.0)
+    b_mean = np.asarray(rep_mean.offset)
     for _ in range(5):
         b = b_mean + rng.normal(size=3) * 0.05
         rep = ineq.interpolation_sides(y, np.eye(3), b, dom, grid, 2.0)
@@ -106,12 +106,8 @@ def test_best_fit_rotation_not_worse_than_identity(sphere_setup):
     ge = np.einsum("...ik,...kl,...jl->...ij", e, g, e)
     mean = np.einsum("tij,tijkl->kl", grid.weights, ge) / grid.volume
     r_fit = mo.nearest_rotation(mean)
-    rep_fit = ineq.interpolation_sides(
-        y, r_fit, ineq.optimal_offset(y, r_fit, dom, grid), dom, grid, 2.0
-    )
-    rep_id = ineq.interpolation_sides(
-        y, np.eye(3), ineq.optimal_offset(y, np.eye(3), dom, grid), dom, grid, 2.0
-    )
+    rep_fit = ineq.interpolation_sides(y, r_fit, "mean", dom, grid, 2.0)
+    rep_id = ineq.interpolation_sides(y, np.eye(3), "mean", dom, grid, 2.0)
     assert rep_fit.ratio <= rep_id.ratio + 1e-9
 
 

@@ -26,7 +26,7 @@ def test_plate_partition_matches_hand_count():
     dom = geo.ThinDomain(geo.plate(), geo.shell_profile(1e-2))
     dec = loc.partition(dom, 0.5)
     assert (dec.m_theta, dec.m_z) == (10, 10)
-    assert dec.cell_rect(0) == pytest.approx((0.0, 0.1, 0.0, 0.1))
+    assert dec.cell_rects()[0] == pytest.approx((0.0, 0.1, 0.0, 0.1))
     assert not dec.degenerate
 
 
@@ -197,7 +197,7 @@ def test_aggregate_balance_bounded_over_h():
 def test_rotation_lower_bound_vacuous_identity(sphere_case):
     s, dom, grid, dec = sphere_case
     rec = loc.rotation_lower_bound_check(
-        np.eye(3), None, dec.cell_rect(0), grid, 2.0, dom.h**0.5
+        np.eye(3), None, dec.cell_rects()[0], grid, 2.0, dom.h**0.5
     )
     assert rec["vacuous"]
 
@@ -232,7 +232,7 @@ def test_rotation_lower_bound_randomized_stability():
             q = mo.random_rotation(rng)
             idx = rng.integers(0, dec.count)
             rec = loc.rotation_lower_bound_check(
-                q, None, dec.cell_rect(int(idx)), grid, 2.0, h**0.5
+                q, None, dec.cell_rects()[idx], grid, 2.0, h**0.5
             )
             if not rec["vacuous"]:
                 consts.append(rec["constant"])
