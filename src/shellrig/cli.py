@@ -404,6 +404,12 @@ def _cmd_doubling(args) -> int:
         raise UsageError("--num-r and --centers must be at least 1 and --budget nonnegative")
     if min(args.r_min, args.r_max) <= 0:
         raise UsageError("--r-min and --r-max must be positive")
+    if args.r_min > args.r_max:
+        raise UsageError("--r-min must not exceed --r-max")
+    if args.num_r == 1 and args.r_min != args.r_max:
+        raise UsageError("--num-r 1 evaluates --r-min alone: give --r-max equal to --r-min, or --num-r of 2 or more")
+    if args.sigma_tol < 0:
+        raise UsageError("--sigma-tol must be nonnegative")
     surface = geo.make_surface(args.surface, **_surface_params(args))
     rng = np.random.default_rng(args.seed)
     t0, t1, z0, z1 = surface.domain

@@ -107,8 +107,13 @@ class SurfaceNodes:
     coeffs: ChartCoefficients
 
     def point(self, t) -> Array:
-        """Normal-offset chart point r + t * n; t broadcasts against the nodes."""
+        """Normal-offset chart point r + t * n, with the bits of ``identity(t).points``; t broadcasts against the nodes."""
         return self.position + _arr(t)[..., None] * self.frame[..., 0]
+
+    def rows(self, lo: int, hi: int) -> SurfaceNodes:
+        """The nodes of the theta rows lo..hi-1 of (ntheta, nz) nodes, as views."""
+        return SurfaceNodes(self.position[lo:hi], self.frame[lo:hi], self.d_theta[lo:hi], self.d_z[lo:hi],
+                            ChartCoefficients(*(a[lo:hi] for a in self.coeffs)))
 
     def identity(self, t) -> IdentityMap:
         """x = ``point(t)``, E^T x and the coordinate partials of E^T x.

@@ -23,12 +23,13 @@ import numpy as np
 from .fields import FrameField, gradient_from_partials, on_grid
 from .fields import frame_gradient  # noqa: F401  (tools bind inequality.frame_gradient)
 from .geometry import ThinDomain, embed, matvec  # noqa: F401  (re-exported: tools bind inequality.embed)
-from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
-from .norms import QuadratureGrid, lp_norm, lp_norms, weighted_mean
+from .matrixops import NonFiniteMatrixError, conjugate_3x3, dist_SO3, nearest_rotation
+from .norms import QuadratureGrid, lp_norm, lp_norms, magnitudes, weighted_mean
 
 Array = np.ndarray
 
 DEGENERATE_RTOL = 1e-10
+SLAB_NODES = 8192  # grid nodes times stacked fields per slab of a report (see _slabs)
 
 
 @dataclass(frozen=True)
@@ -99,35 +100,62 @@ def _require_rotation(rotation: Array) -> Array:
     return r
 
 
-def _residual(comp: Array, rotation, grid: QuadratureGrid) -> Array:
-    """y - R x on every node, from the frame components of y.
+def _subtract_rotated(v: Array, rotation, x: Array) -> None:
+    """v -= R x in place, on the nodes of ``x``.
 
-    For a stack of fields (a leading seed axis on ``comp``) ``rotation`` is
-    one R for every seed or a list of one R per seed.
+    ``rotation`` is one R for every seed of the stack ``v`` or a list of one
+    R per seed.
     """
-    # matvec sums each entry in one fixed order, so the bits do not depend on comp's layout
-    y_e = matvec(grid.nodes.frame, comp)
-    x = grid.identity.points
     if isinstance(rotation, list):
-        for y_s, r in zip(y_e, rotation):
-            y_s -= matvec(r, x)
+        for v_s, r in zip(v, rotation):
+            v_s -= matvec(r, x)
     else:
-        y_e -= matvec(rotation, x)
-    return y_e
+        v -= matvec(rotation, x)
 
 
-def _stacked(comp: Array, par: Array, grid: QuadratureGrid, meta) -> tuple[Array, Array, list, bool]:
-    """comp and par with a seed axis (added for a lone field), one meta per seed, and whether it was there.
+def _metas(meta, stack: int) -> list:
+    """One meta per field of a stack; ``meta`` is a dict shared by every field, or a list of one per field."""
+    metas = meta if isinstance(meta, list) else [meta] * stack
+    if len(metas) != stack:
+        raise ValueError(f"meta lists {len(metas)} dicts for {stack} fields")
+    return metas
 
-    ``meta`` is a dict shared by every seed, or a list of one dict per seed.
+
+def _slabs(y: FrameField, grid: QuadratureGrid):
+    """``y`` on ``grid`` slab by slab: (rows, slab, comp, par, stacked) per slab, in theta order.
+
+    ``slab`` is ``grid.slab(rows)`` for consecutive theta rows that hold at
+    most SLAB_NODES nodes times stacked fields, and at least one row, so a
+    grid that fits is one slab, the grid itself.  The slabs of a grid hold
+    equal numbers of rows, give or take one: with a short last slab the
+    desk battery (13,824 nodes, slabs of 28 and 20 rows) faulted in 3x the
+    pages of equal slabs and ran 7% slower than one whole-grid pass, where
+    equal slabs stayed within 3%.  ``comp`` and ``par`` of
+    the slab always carry a seed axis; ``stacked`` tells whether the field
+    gave it.  The stack size is known once the field is evaluated, so the
+    first slab is sized for one field; a sweep's stacked chunks hold at most
+    ``experiments.CHUNK_NODES`` node values and fit one slab.
     """
-    stacked = comp.ndim > grid.t.ndim + 1
-    if not stacked:
-        comp, par = comp[None], par[None]
-    metas = meta if isinstance(meta, list) else [meta] * len(comp)
-    if len(metas) != len(comp):
-        raise ValueError(f"meta lists {len(metas)} dicts for {len(comp)} fields")
-    return comp, par, metas, stacked
+    nt, nth, nz = grid.resolution
+    lo, stack = 0, 1
+    while lo < nth:
+        most = max(1, SLAB_NODES // (nt * nz * stack))  # rows a slab may hold
+        count = -(-(nth - lo) // most)  # slabs left
+        rows = slice(lo, lo + -(-(nth - lo) // count))
+        slab = grid.slab(rows)
+        comp, par = on_grid(y, slab)
+        stacked = comp.ndim > slab.t.ndim + 1
+        if not stacked:
+            comp, par = comp[None], par[None]
+        stack = len(comp)
+        yield rows, slab, comp, par, stacked
+        del slab, comp, par  # before the next slab is evaluated
+        lo = rows.stop
+
+
+def _joined(parts: list) -> Array:
+    """The per-slab arrays of one quantity as one whole-grid array (theta is axis 2, after the seed and t axes)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
 
 
 def interpolation_sides(
@@ -144,16 +172,27 @@ def interpolation_sides(
     ``rotation`` is a matrix in SO(3), or "best-fit" for the nearest rotation
     to the volume mean of the gradient.  ``offset`` is a vector, None for
     zero, or "mean" for the L^2-optimal offset given the rotation.  The
-    field's components and partials are evaluated once; x and the frame
-    come from the cache of ``grid``, which must be a grid on ``domain``.
+    field's components and partials are evaluated once; ``grid`` must be a
+    grid on ``domain``.
+
+    The nodal work runs in theta slabs (``_slabs``): per slab the field, its
+    gradient, E y - R x, dist(grad y, SO(3)), E^T R E and the magnitude
+    |grad y - E^T R E|.  What a whole-grid reduction reads goes into a
+    whole-grid array: the residual y - R x, the distance and that magnitude,
+    and for "best-fit" the gradient and the Euclidean gradient E g E^T, since
+    R comes from the latter's mean and is applied after the slabs.  The
+    means (``weighted_mean``) and the norms (``lp_norms``) then run on those
+    arrays as on the whole grid's, and every value is elementwise per node,
+    so the slabs do not move a bit.  An error is raised in the order of a
+    whole-grid pass: a non-finite gradient fails at the distance, after the
+    residual's norm.
 
     A field whose components carry a leading seed axis, (S, nt, ntheta, nz,
     3) as ``random_smooth_field`` gives for S seeds, is S deformations at
     once, and the result is a list of S reports; ``meta`` may then list one
-    dict per seed.  The nodal arrays (the gradient, E y, dist(grad y, SO(3))
-    and E^T R E for a fixed R) are computed once for the stack, and so are
-    the elementwise passes of the L^p norms (``lp_norms``).  Every reduction
-    (offset, best-fit rotation, the sum of an L^p norm) runs on one seed's
+    dict per seed.  The nodal arrays are computed once for the stack, and so
+    are the elementwise passes of the L^p norms.  Every reduction (offset,
+    best-fit rotation, the sum of an L^p norm) runs on one seed's
     C-contiguous slice, as a lone seed's does, so each report has the bits
     of its seed evaluated alone; a sum across the seed axis would move last bits.
     """
@@ -163,21 +202,46 @@ def interpolation_sides(
         raise ValueError("rotation must be a 3x3 matrix or 'best-fit'")
     if isinstance(offset, str) and offset != "mean":
         raise ValueError("offset must be a 3-vector, None, or 'mean'")
-
-    # each nodal array is dropped after its last use, which bounds peak memory
-    comp, par = on_grid(y, grid)
-    comp, par, metas, stacked = _stacked(comp, par, grid, meta)
-    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
-    del par
-    frame = grid.nodes.frame
-    if isinstance(rotation, str):
-        ge = conjugate_3x3(frame, g)  # the Euclidean gradient E g E^T
-        r = [_require_rotation(nearest_rotation(weighted_mean(m, grid), warn_degenerate=False)) for m in ge]
-        del ge
-    else:
+    best_fit = isinstance(rotation, str)
+    frame_t = np.swapaxes(grid.nodes.frame, -1, -2)
+    if not best_fit:
         r = _require_rotation(rotation)  # one rotation for the whole stack
-    resid = _residual(comp, r, grid)
-    del comp
+        ere = conjugate_3x3(frame_t, r)  # E^T R E on the (theta, z) nodes
+
+    # per-slab parts of the whole-grid arrays, and the error a whole-grid dist_SO3 would raise
+    resid, dist, g_mag, g_all, ge = [], [], [], [], []
+    dist_error = None
+    for rows, slab, comp, par, stacked in _slabs(y, grid):
+        if rows.start == 0:
+            metas = _metas(meta, len(comp))
+        g = gradient_from_partials(comp, par, slab.t, slab.nodes.coeffs)
+        del par
+        frame = slab.nodes.frame
+        try:
+            dist.append(dist_SO3(g))
+        except NonFiniteMatrixError as err:  # raised after the residual's norm, as one pass raises it
+            dist_error = err
+        # matvec sums each entry in one fixed order, so the bits do not depend on comp's layout
+        resid.append(matvec(frame, comp))  # E y; a best-fit R x is subtracted once R is known
+        del comp
+        if best_fit:
+            g_all.append(g)
+            ge.append(conjugate_3x3(frame, g))  # the Euclidean gradient E g E^T
+        else:
+            _subtract_rotated(resid[-1], r, slab.identity.points)
+            g -= ere[rows]
+            g_mag.append(magnitudes(g, slab))
+        del g
+    resid = _joined(resid)
+    if best_fit:
+        r = [_require_rotation(nearest_rotation(weighted_mean(m, grid), warn_degenerate=False)) for m in _joined(ge)]
+        del ge
+        _subtract_rotated(resid, r, grid.nodes.point(grid.t))  # x without a whole-grid x -> x map
+        g_all = _joined(g_all)
+        for g_s, r_s in zip(g_all, r):
+            g_s -= conjugate_3x3(frame_t, r_s)
+        g_mag = [magnitudes(g_all, grid)]
+        del g_all
 
     offsets = []
     for resid_s in resid:
@@ -189,15 +253,12 @@ def interpolation_sides(
         offsets.append(b)
     field_norms = lp_norms(resid, grid, p)
     del resid, resid_s  # the slice would keep the whole stack alive
-    dist_norms = lp_norms(dist_SO3(g), grid, p)
-    frame_t = np.swapaxes(frame, -1, -2)
-    if isinstance(r, list):
-        for g_s, r_s in zip(g, r):
-            g_s -= conjugate_3x3(frame_t, r_s)  # E^T R E
-    else:
-        g -= conjugate_3x3(frame_t, r)
-    rots = r if isinstance(r, list) else [r] * len(g)
-    g_norms = lp_norms(g, grid, p)
+    if dist_error is not None:
+        raise dist_error
+    dist_norms = lp_norms(_joined(dist), grid, p)
+    del dist
+    g_norms = lp_norms(_joined(g_mag), grid, p)
+    rots = r if isinstance(r, list) else [r] * len(g_norms)
     scale = grid.volume ** (2.0 / p)
     reports = []
     for r_s, b, g_norm, field_norm, dist_norm, m in zip(rots, offsets, g_norms, field_norms, dist_norms, metas):
@@ -219,21 +280,29 @@ def korn_linear_sides(
 ) -> InequalityReport | list[InequalityReport]:
     """Linearized sides: gradient vs field norm and linear strain.
 
-    A stacked field gives one report per seed, as in ``interpolation_sides``:
-    the gradient, the strain and the elementwise passes of the norms once
+    The field, its gradient and strain and the magnitudes of all three are
+    evaluated in theta slabs, as in ``interpolation_sides``; only the
+    magnitudes are kept for the whole grid, and their norms (``lp_norms``)
+    have the bits of a whole-grid pass.  A stacked field gives one report
+    per seed: the nodal arrays and the elementwise passes of the norms once
     for the stack, the sum of each norm per seed.
     """
     if u.kind != "displacement":
         raise ValueError("the linearized sides need a displacement field")
-    comp, par = on_grid(u, grid)
-    comp, par, metas, stacked = _stacked(comp, par, grid, meta)
-    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
-    del par
-    field_norms = lp_norms(comp, grid, p)
-    strain_norms = lp_norms(0.5 * (g + np.swapaxes(g, -1, -2)), grid, p)
+    mags = [], [], []  # per-slab magnitudes of the field, the strain and the gradient
+    for rows, slab, comp, par, stacked in _slabs(u, grid):
+        if rows.start == 0:
+            metas = _metas(meta, len(comp))
+        g = gradient_from_partials(comp, par, slab.t, slab.nodes.coeffs)
+        del par
+        mags[0].append(magnitudes(comp, slab))
+        mags[1].append(magnitudes(0.5 * (g + np.swapaxes(g, -1, -2)), slab))
+        mags[2].append(magnitudes(g, slab))
+        del comp, g
+    field_norms, strain_norms, g_norms = (lp_norms(_joined(m), grid, p) for m in mags)
     scale = grid.volume ** (2.0 / p)
     reports = []
-    for field_norm, strain_norm, g_norm, m in zip(field_norms, strain_norms, lp_norms(g, grid, p), metas):
+    for field_norm, strain_norm, g_norm, m in zip(field_norms, strain_norms, g_norms, metas):
         lhs = g_norm**2
         prod = field_norm * strain_norm / domain.h
         reports.append(_finalize(

@@ -45,6 +45,18 @@ class QuadratureGrid:
     arrays (about 120 bytes per node), so hold a grid only while its
     reports are evaluated: a sweep keeps ``resolution``, not the grid.
 
+    ``slab(rows)`` is the sub-grid of a range of theta nodes, on which the
+    reports evaluate a fine grid piece by piece.  It views ``t`` and
+    ``weights`` and shares the plane geometry: its ``nodes`` and ``t_axis``
+    are this grid's, cut to the rows, so nothing is evaluated again.  Its
+    own ``identity`` is built for its nodes only.  The whole range is the
+    grid itself, so a grid that fits one slab keeps its ``identity`` for
+    every report on it (a battery's chunks).  A sub-grid dies with the
+    report that asked for it the first time, so a lone report holds the
+    x -> x map of one slab at a time; rows asked for again (by the next
+    chunk of a battery) keep their sub-grid for the grid's lifetime, so a
+    battery builds each slab's map at most twice per grid.
+
     ``memo`` holds what depends on a field as well as the grid.  Only the
     localization audit fills it, with one entry ``"nodal"``: the last field
     traced on the grid and its components, Euclidean gradient and distance
@@ -96,6 +108,29 @@ class QuadratureGrid:
         for a in out:
             a.flags.writeable = False
         return out
+
+    @cached_property
+    def _kept_slabs(self) -> dict:
+        return {}  # (lo, hi) -> the sub-grid once asked for twice, else None
+
+    def slab(self, rows: slice) -> QuadratureGrid:
+        """The sub-grid of the theta nodes ``rows`` (a slice of unit step); the whole range is ``self``.
+
+        Rows asked for a second time keep their sub-grid, and so its
+        ``identity``, for the grid's lifetime.
+        """
+        nt, nth, nz = self.resolution
+        lo, hi, _ = rows.indices(nth)
+        if (lo, hi) == (0, nth):
+            return self
+        sub = self._kept_slabs.get((lo, hi))
+        if sub is None:
+            sub = QuadratureGrid(self.domain, (nt, hi - lo, nz), self.t[:, lo:hi], self.theta[lo:hi], self.z,
+                                 self.weights[:, lo:hi])
+            sub.__dict__["nodes"] = self.nodes.rows(lo, hi)  # fills the cached properties
+            sub.__dict__["t_axis"] = self.t_axis if self.t_axis.shape[1] == 1 else self.t_axis[:, lo:hi]
+            self._kept_slabs[lo, hi] = sub if (lo, hi) in self._kept_slabs else None
+        return sub
 
     def on_domain(self, domain: ThinDomain) -> QuadratureGrid:
         """``build_grid(domain, self.resolution)`` for a domain on this surface, sharing ``nodes``."""
@@ -237,8 +272,13 @@ def adaptive_theta_resolution(domain: ThinDomain, base: int = 64) -> int:
     return max(base, int(math.ceil(16 * (t1 - t0) / math.sqrt(domain.h))))
 
 
-def _pointwise_magnitude(values: Array, grid: QuadratureGrid) -> Array:
-    """Nodal magnitudes of a stack of nodal values, one leading stack axis before the grid's."""
+def magnitudes(values: Array, grid: QuadratureGrid) -> Array:
+    """Nodal magnitudes of a stack of nodal values, one leading stack axis before the grid's.
+
+    Scalars use absolute value, vectors the Euclidean norm, matrices the
+    Frobenius norm, each node on its own, so the magnitudes of a slab of
+    nodes have the bits they have in the whole grid.
+    """
     values = np.asarray(values, dtype=float)
     base = tuple(grid.resolution)
     shape = values.shape[1:]
@@ -262,17 +302,17 @@ def lp_norm(values: Array, grid: QuadratureGrid, p: float) -> float:
 def lp_norms(stack: Array, grid: QuadratureGrid, p: float) -> list[float]:
     """The L^p norm over the thin domain of each field in a stack; 1 < p < infinity only.
 
-    ``stack`` holds the nodal values of each field along its first axis.
-    Scalars use absolute value, vectors the Euclidean norm, matrices the
-    Frobenius norm.  The magnitudes, the finiteness check and the weighted
-    powers are elementwise, so each is one pass over the whole stack.  The
+    ``stack`` holds the nodal values of each field along its first axis, or
+    their ``magnitudes`` (nonnegative scalars, which give the same bits).
+    The magnitudes, the finiteness check and the weighted powers are
+    elementwise, so each is one pass over the whole stack.  The
     sum runs once per field on that field's C-contiguous slice, so a field's
     norm has the same bits in any stack; a reduction that runs across the
     stack axis adds in another order and moves last bits.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("p must satisfy 1 < p < infinity")
-    mag = _pointwise_magnitude(stack, grid)
+    mag = magnitudes(stack, grid)
     if not np.all(np.isfinite(mag)):
         raise ValueError("values must be finite on all grid nodes")
     return [float(np.sum(w) ** (1.0 / p)) for w in grid.weights * mag**p]

@@ -296,6 +296,10 @@ def test_overflowing_sweep_fails_cleanly(tmp_path, command, field):
         (["doubling", "--r-min", "-0.01"], "--r-min"),
         (["doubling", "--r-max", "0"], "--r-max"),
         (["sweep", "--slope-tol", "-1"], "slope_tol"),
+        (["doubling", "--sigma-tol", "-1"], "--sigma-tol must be nonnegative"),
+        (["doubling", "--r-min", "0.2", "--r-max", "0.1"], "--r-min must not exceed --r-max"),
+        (["doubling", "--num-r", "1"], "--num-r 1 evaluates --r-min alone"),
+        (["doubling", "--num-r", "1", "--r-min", "0.01", "--r-max", "0.02"], "--num-r 1 evaluates --r-min alone"),
     ],
 )
 def test_bad_flags_exit_2_before_any_file(tmp_path, capsys, argv, named):
@@ -308,6 +312,18 @@ def test_bad_flags_exit_2_before_any_file(tmp_path, capsys, argv, named):
     assert named in err
     assert "Warning" not in err
     assert not out.exists()
+
+
+def test_doubling_of_one_radius_reports_that_radius(tmp_path):
+    # --num-r 1 is refused unless --r-max equals --r-min (above); then the report names that radius
+    out = tmp_path / "run"
+    argv = ["doubling", "--surface", "plate", "--centers", "2", "--budget", "10000", "--num-r", "1",
+            "--r-min", "0.05", "--r-max", "0.05", "--sigma-tol", "0", "--out", str(out)]
+    assert run(argv) == 1  # a ratio is positive, so a zero tolerance fails the verdict
+    radii = {float(line.split(",")[2]) for line in (out / "doubling.csv").read_text().splitlines()[1:]}
+    assert radii == {0.05}
+    assert json.loads((out / "doubling.json").read_text())["delta"] == 0.05
+    assert "over r in [0.05, 0.05]" in (out / "verdict.txt").read_text()
 
 
 @pytest.mark.parametrize(

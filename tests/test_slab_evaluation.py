@@ -1,0 +1,160 @@
+"""Reports evaluated in theta slabs keep every bit and bound their memory.
+
+``inequality.interpolation_sides`` and ``korn_linear_sides`` run their nodal
+work slab by slab (``inequality._slabs``, ``QuadratureGrid.slab``) and reduce
+whole-grid arrays afterwards.  Shrinking ``inequality.SLAB_NODES`` splits the
+small grids of ``data/sweep_rows_reference.json`` into many slabs; the rows
+must still match the recorded ``repr`` strings.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from shellrig import experiments as ex
+from shellrig import fields as fl
+from shellrig import geometry as geo
+from shellrig import inequality as ineq
+from shellrig import norms as nm
+from test_sweep_evaluation import REFERENCE, _config_of
+
+
+def _rows_seen(monkeypatch):
+    """Patch ``inequality.on_grid`` to record the theta rows of every slab it evaluates."""
+    seen = []
+    on_grid = ineq.on_grid
+
+    def recorded(field, grid):
+        seen.append(grid.resolution[1])
+        return on_grid(field, grid)
+
+    monkeypatch.setattr(ineq, "on_grid", recorded)
+    return seen
+
+
+# the reference grids are 3x12x10: 30 nodes per theta row, so these budgets give
+# slabs of 1 row (12 slabs), 3 rows (4 slabs) and 6 rows (2 slabs) for one field
+@pytest.mark.parametrize("budget", [30, 100, 250])
+@pytest.mark.parametrize("key", sorted(REFERENCE))
+def test_rows_in_slabs_are_bit_identical(monkeypatch, key, budget):
+    monkeypatch.setattr(ineq, "SLAB_NODES", budget)
+    seen = _rows_seen(monkeypatch)
+    sweep, config = _config_of(key)
+    rows = sweep(config).rows
+    assert [{k: repr(v) for k, v in row.items()} for row in rows] == REFERENCE[key]
+    assert seen and max(seen) <= budget // 30 < 12  # no slab held the whole grid
+
+
+def test_slab_views_the_grid_and_shares_its_plane_geometry():
+    s = geo.make_surface("sphere")
+    for profile, t_axis_rows in (("shell", 1), ("bump", 3)):
+        grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(profile, 1e-2, s)), (3, 12, 10))
+        assert grid.slab(slice(0, 12)) is grid
+        sub = grid.slab(slice(4, 7))
+        assert sub.resolution == (3, 3, 10)
+        for a, whole in ((sub.t, grid.t), (sub.weights, grid.weights), (sub.theta, grid.theta),
+                         (sub.nodes.frame, grid.nodes.frame), (sub.nodes.coeffs.a_theta, grid.nodes.coeffs.a_theta)):
+            assert np.shares_memory(a, whole)
+        assert np.array_equal(sub.t, grid.t[:, 4:7])
+        assert np.array_equal(sub.nodes.position, grid.nodes.position[4:7])
+        assert sub.t_axis.shape[1] == t_axis_rows
+        assert np.array_equal(np.broadcast_to(sub.t_axis, sub.t.shape), sub.t)
+        # x -> x on a slab is the whole grid's map on its rows
+        for a, whole in zip(sub.identity, grid.identity):
+            assert a.tobytes() == np.ascontiguousarray(whole[:, 4:7]).tobytes()
+        assert sub.nodes.point(sub.t).tobytes() == sub.identity.points.tobytes()
+
+
+def test_rows_asked_for_again_keep_their_slab():
+    s = geo.make_surface("sphere")
+    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile("shell", 1e-2, s)), (3, 12, 10))
+    first, second, third = (grid.slab(slice(0, 6)) for _ in range(3))
+    assert first is not second and second is third
+
+
+def test_a_battery_builds_each_slab_map_at_most_twice(monkeypatch):
+    # 4x24x24 = 2304 nodes is above the chunk budget, so 4 seeds make 4 chunks per h;
+    # 96 nodes per theta row and 1000 node values per slab make 3 slabs of 8 rows
+    monkeypatch.setattr(ineq, "SLAB_NODES", 1000)
+    seen = _rows_seen(monkeypatch)
+    builds = []
+    identity = geo.SurfaceNodes.identity
+
+    def counted(nodes, t):
+        builds.append(np.shape(t)[1])
+        return identity(nodes, t)
+
+    monkeypatch.setattr(geo.SurfaceNodes, "identity", counted)
+    res = ex.run_sweep(ex.SweepConfig(field="random", seeds=4, num_h=4, h_min=1e-2, h_max=1e-1,
+                                      nt=4, ntheta=24, nz=24, adaptive_theta=False))
+    assert len(res.rows) == 4
+    assert seen == [8, 8, 8] * 4 * 4
+    # per h: the first chunk's slabs die with it, the second's are kept for the rest
+    assert builds == [8, 8, 8] * 2 * 4
+
+
+def _poisoned(h, first_rows_par: bool, last_rows_comp: bool) -> tuple:
+    """x + h u for a random u with an infinite partial on the first theta rows and/or an
+    infinite component on the last ones, and a 3x12x10 sphere grid."""
+    s = geo.make_surface("sphere")
+    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile("shell", h, s)), (3, 12, 10))
+    lo, hi = grid.theta[2], grid.theta[-3]
+    u = fl.random_smooth_field(3, 0.1, 4, s)
+
+    def comp(t, theta, z):
+        out = u.components(t, theta, z)
+        if last_rows_comp:
+            out[..., 0] = np.where(np.asarray(theta) > hi, np.inf, out[..., 0])
+        return out
+
+    def par(t, theta, z):
+        out = u.partials(t, theta, z)
+        if first_rows_par:
+            out[..., 0, 1] = np.where(np.asarray(theta) < lo, np.inf, out[..., 0, 1])
+        return out
+
+    field = fl.FrameField(comp, par, kind="displacement")
+    return fl.displacement_to_deformation(s, field, h), grid
+
+
+@pytest.mark.parametrize(
+    "first_rows_par, last_rows_comp, message",
+    [
+        (True, True, "values must be finite on all grid nodes"),  # the residual's norm comes first
+        (True, False, "matrix entries must be finite"),  # then the distance to SO(3)
+        (False, True, "values must be finite on all grid nodes"),
+    ],
+)
+@pytest.mark.parametrize("rotation", ["identity", "best-fit"])
+def test_a_failure_in_slabs_is_the_failure_of_one_pass(monkeypatch, first_rows_par, last_rows_comp, message, rotation):
+    rot = np.eye(3) if rotation == "identity" else "best-fit"
+    errors = []
+    for budget in (ineq.SLAB_NODES, 30):
+        monkeypatch.setattr(ineq, "SLAB_NODES", budget)
+        y, grid = _poisoned(1e-2, first_rows_par, last_rows_comp)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+            ineq.interpolation_sides(y, rot, "mean", grid.domain, grid, 2.0)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    if rotation == "identity":
+        assert errors[0][1] == message
+
+
+def test_one_report_on_the_doubled_grid_stays_under_128_bytes_per_node():
+    # the ansatz at h = 1e-3 on the doubled sharpness grid: 16x506x128, 1,036,288 nodes;
+    # evaluated whole, the report peaked at 354.5 B/node in its gradient
+    s = geo.make_surface("sphere")
+    h = 1e-3
+    domain = geo.ThinDomain(s, geo.make_profile("shell", h, s))
+    grid = nm.build_grid(domain, (16, nm.adaptive_theta_resolution(domain, base=128), 128))
+    assert grid.resolution == (16, 506, 128)
+    y = fl.displacement_to_deformation(s, fl.make_field("ansatz", s, h), h)
+    tracemalloc.start()
+    try:
+        rep = ineq.interpolation_sides(y, np.eye(3), "mean", domain, grid, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(rep.ratio)
+    assert peak / grid.t.size < 128
