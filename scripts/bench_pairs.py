@@ -4,7 +4,10 @@
         --pairs 10 --seconds 30 --heldout-seed 23 --claim sharpness:wall_s \\
         --note "what the change does" --out BENCH_12.json
 
-Each checkout is a source tree with ``perfbench/`` and ``src/``.  For every
+Each checkout is a source tree with ``perfbench/`` and ``src/``.  Both are
+compiled first (``python -m compileall -q src perfbench`` in each), so that a
+module edited since its last compile is not compiled again inside the timed
+runs and setup probes when ``PYTHONDONTWRITEBYTECODE`` is set.  For every
 workload, pair i runs ``python3 perfbench/run.py --workload W --seed i
 --seconds S --trace 0`` in both checkouts, one run at a time, the parent
 first when i is even and the change first when it is odd, so a drift of
@@ -13,7 +16,10 @@ each side's median and quartiles (``statistics.quantiles(method="inclusive")``)
 and their distance, the number of pairs in which the change was better, and
 the relative change of the medians; ``ops_failed`` and ``ops_attempted`` are
 summed over each side's runs.  ``--heldout-seed`` adds one more pair per
-workload at a benchmark seed kept out of the pairs, reported apart.
+workload at a benchmark seed kept out of the pairs, reported apart.  The
+flags are checked before anything runs: a ``--claim`` that is not
+``WORKLOAD:METRIC`` for a listed workload, or a held-out seed that one of the
+pairs uses, is a usage error.
 """
 
 from __future__ import annotations
@@ -28,6 +34,28 @@ from pathlib import Path
 
 METRICS = ("wall_s", "wall_p75_s", "setup_s", "peak_rss_mb")  # all lower-is-better
 WORKLOADS = ("battery", "sharpness", "audit")
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Byte-compile the checkout's ``src`` and ``perfbench`` trees."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: compileall: exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
+
+
+def parse_claim(claim: str, workloads: list[str]) -> tuple[str, str]:
+    """(workload, metric) of a ``WORKLOAD:METRIC`` claim; ValueError names what is wrong."""
+    w, sep, m = claim.partition(":")
+    if not sep:
+        raise ValueError(f"--claim {claim!r} is not WORKLOAD:METRIC")
+    if w not in workloads:
+        raise ValueError(f"--claim workload {w!r} is not among --workloads {' '.join(workloads)}")
+    if m not in METRICS:
+        raise ValueError(f"--claim metric {m!r} is not one of {', '.join(METRICS)}")
+    return w, m
 
 
 def one_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -95,7 +123,17 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 (quartiles need two runs a side)")
+    if args.heldout_seed is not None and 0 <= args.heldout_seed < args.pairs:
+        ap.error(f"--heldout-seed {args.heldout_seed} is a seed of the pairs (0..{args.pairs - 1})")
+    claim = None
+    if args.claim:
+        try:
+            claim = parse_claim(args.claim, args.workloads)
+        except ValueError as exc:
+            ap.error(str(exc))
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in checkouts.values():
+        compile_checkout(checkout)
 
     runs = {w: [pair(checkouts, w, i, args.seconds, i % 2 == 0) for i in range(args.pairs)] for w in args.workloads}
     host = runs[args.workloads[0]][0]["parent"]["provenance"]
@@ -106,16 +144,18 @@ def main() -> int:
             f"{args.pairs} pairs per workload of `python3 perfbench/run.py --workload W --seed i "
             f"--seconds {args.seconds:g} --trace 0`, i = 0..{args.pairs - 1}, parent and change alternating "
             "first within a pair (parent first on even i), each from its own checkout, run one at a time "
-            "(scripts/bench_pairs.py). Times are at reference speed (perfbench's speed gauge). Medians and "
-            "quartiles (inclusive method) are over the runs of each side; `runs` lists each pair as "
-            "[parent, change]. ops_failed and ops_attempted are summed over the runs of each side."
+            "(scripts/bench_pairs.py), after `python -m compileall -q src perfbench` in each checkout so "
+            "that no run or setup probe compiles a stale module. Times are at reference speed (perfbench's "
+            "speed gauge). Medians and quartiles (inclusive method) are over the runs of each side; `runs` "
+            "lists each pair as [parent, change]. ops_failed and ops_attempted are summed over the runs of "
+            "each side."
         ),
         "host": {k: host[k] for k in ("python", "numpy", "scipy", "nproc", "cpus_usable", "cpu")}
         | {"platform": platform.platform()},
     }
     summaries = {w: summarize(r) for w, r in runs.items()}
-    if args.claim:
-        w, m = args.claim.split(":")
+    if claim:
+        w, m = claim
         s = summaries[w][m]
         doc["claim"] = {
             "workload": w,

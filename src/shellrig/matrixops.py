@@ -14,6 +14,11 @@ one-byte-per-entry finiteness mask) its temporaries stay at a few MB
 whatever the batch size.  The blocks do not change the bits: each matrix
 goes through the same operations as in a single call.
 
+``dist_SO3`` and ``svd3`` start from f^T f (``_gram``).  If both operands of
+``@`` are views of one buffer, numpy's matmul calls BLAS ``syrk`` per 3x3
+matrix and copies the triangle; copying the transposed operand makes it call
+``dgemm``, which gives the same bits 2-3.5x faster.
+
 Matrix norms are Frobenius throughout.
 """
 
@@ -186,10 +191,19 @@ def jacobi_eigh_3x3(b: np.ndarray):
     return vals, vecs
 
 
+def _gram(f: np.ndarray) -> np.ndarray:
+    """f^T f per matrix, with the bits of ``np.swapaxes(f, -1, -2) @ f``.
+
+    Keep the copy: it moves numpy from its ``syrk`` route for a shared
+    buffer to its ``dgemm`` route (module docstring); tests/test_matrixops.py
+    checks that the bits agree.
+    """
+    return np.ascontiguousarray(np.swapaxes(f, -1, -2)) @ f
+
+
 def _singular_values(f: np.ndarray) -> list[np.ndarray]:
     """Singular values (s1, s2, s3), descending, of finite 3x3 matrices."""
-    b = np.swapaxes(f, -1, -2) @ f
-    return [np.sqrt(np.maximum(lam, 0.0)) for lam in _eigvals(_entries(b))]
+    return [np.sqrt(np.maximum(lam, 0.0)) for lam in _eigvals(_entries(_gram(f)))]
 
 
 def dist_SO3(f: np.ndarray) -> np.ndarray:
@@ -221,8 +235,7 @@ def svd3(f: np.ndarray):
     orthogonal (det(u) = +1 by construction of the third column).
     """
     f = _check_finite(f)
-    b = np.swapaxes(f, -1, -2) @ f
-    lam, v = jacobi_eigh_3x3(b)
+    lam, v = jacobi_eigh_3x3(_gram(f))
     s = np.sqrt(np.maximum(lam, 0.0))
 
     scale = np.maximum(s[..., 0], 1e-300)

@@ -202,3 +202,36 @@ def test_dist_memory_is_bounded_and_blocking_is_invisible():
     parts = [mo.dist_SO3(f[lo : lo + 3001]) for lo in range(0, f.shape[0], 3001)]
     assert np.array_equal(d, np.concatenate(parts))
     assert np.array_equal(mo.dist_SO3(f.reshape(400, 500, 3, 3)), d.reshape(400, 500))
+
+
+def _gram_families(n: int, rng: np.random.Generator):
+    """Stacks of n 3x3 matrices of the kinds whose f^T f the kernels form."""
+    eye = np.eye(3)
+    for scale in (1e-2, 1e-4, 1e-6, 1e-8):
+        yield f"near-identity {scale:g}", eye + scale * rng.normal(size=(n, 3, 3))
+    yield "gaussian", rng.normal(size=(n, 3, 3))
+    yield "log-uniform 1e-30..1e30", rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-30, 30, size=(n, 3, 3))
+    w = rng.normal(size=(n, 3))
+    skew = np.zeros((n, 3, 3))
+    skew[:, 0, 1], skew[:, 0, 2], skew[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
+    yield "identity + skew", eye + skew - np.swapaxes(skew, 1, 2)
+    u, v = rng.normal(size=(2, n, 3, 2))
+    yield "rank 1", u[..., :1] * v[:, None, :, 0]
+    yield "rank 2", u @ np.swapaxes(v, 1, 2)
+    g = rng.normal(size=(n, 3, 3))
+    g[np.linalg.det(g) > 0, 2] *= -1.0
+    yield "negative determinant", g
+
+
+@pytest.mark.parametrize("n", [1, 9, 552, 4096])
+def test_gram_has_the_bits_of_the_shared_buffer_product(n):
+    # _gram copies the transposed operand so that numpy calls dgemm; the
+    # product on one shared buffer goes through BLAS syrk.  Both must round
+    # alike, or every dist_SO3 and nearest_rotation value may move.
+    rng = np.random.default_rng(n)
+    for name, f in _gram_families(n, rng):
+        g = mo._gram(f)
+        syrk = np.swapaxes(f, -1, -2) @ f
+        assert g.shape == (n, 3, 3), name
+        assert np.array_equal(g.view(np.int64), syrk.view(np.int64)), name
+        assert np.array_equal(g.view(np.int64), np.swapaxes(g, -1, -2).view(np.int64)), name
