@@ -19,7 +19,8 @@ summed over each side's runs.  ``--heldout-seed`` adds one more pair per
 workload at a benchmark seed kept out of the pairs, reported apart.  The
 flags are checked before anything runs: a ``--claim`` that is not
 ``WORKLOAD:METRIC`` for a listed workload, or a held-out seed that one of the
-pairs uses, is a usage error.
+pairs uses, is a usage error.  ``src_lines`` records the lines of each
+checkout's ``src/**/*.py`` files, as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def compile_checkout(checkout: Path) -> None:
     )
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: compileall: exit {proc.returncode}\n{proc.stdout}{proc.stderr}")
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/**/*.py`` files (newlines, as ``wc -l`` counts)."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
 def parse_claim(claim: str, workloads: list[str]) -> tuple[str, str]:
@@ -152,6 +158,7 @@ def main() -> int:
         ),
         "host": {k: host[k] for k in ("python", "numpy", "scipy", "nproc", "cpus_usable", "cpu")}
         | {"platform": platform.platform()},
+        "src_lines": {side: src_lines(checkout) for side, checkout in checkouts.items()},
     }
     summaries = {w: summarize(r) for w, r in runs.items()}
     if claim:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import MISSING, dataclass, field as dc_field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -150,8 +149,6 @@ class SweepConfig:
         if self.num_h < 4:
             raise ValueError("a sweep needs at least 4 thickness values to fit a slope")
         fl.field_kind(self.field)
-        if self.field.startswith("user:") and not Path(self.field[5:]).is_file():
-            raise ValueError(f"no such file for the field {self.field!r}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.amplitude < 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -633,7 +634,7 @@ FIELD_SPEC = re.compile(r"identity|ansatz|(rigid|random)(:[0-9]*)?|user:.+")
 
 
 def field_kind(spec: str) -> str:
-    """Kind of the field ``make_field(spec)`` builds; raises ValueError on a malformed spec.
+    """Kind of the field ``make_field(spec)`` builds; raises ValueError on a malformed spec or a missing file.
 
     The grammar is ``FIELD_SPEC``: identity | rigid:<seed> | ansatz |
     random:<seed> | user:<csv>, where a seed is a nonnegative decimal integer
@@ -644,6 +645,8 @@ def field_kind(spec: str) -> str:
             f"unknown field spec {spec!r} "
             "(expected identity, rigid:<seed>, ansatz, random:<seed> or user:<csv>)"
         )
+    if spec.startswith("user:") and not Path(spec[5:]).is_file():
+        raise ValueError(f"no such file for the field {spec!r}")
     return "deformation" if spec.partition(":")[0] in ("identity", "rigid") else "displacement"
 
 
@@ -661,6 +664,8 @@ def make_field(
     ``rigid:<seed>`` draws its rotation and offset from the seed; the field
     carries them as ``motion``.
     """
+    if spec.startswith("user:") and domain is None:
+        raise ValueError("a sampled user field needs the thin domain for normalization")
     field_kind(spec)
     name, _, arg = spec.partition(":")
     if name == "identity":
@@ -673,6 +678,4 @@ def make_field(
         return ansatz_displacement(prof, surface, h)
     if name == "random":
         return random_smooth_field(int(arg or 0), amplitude, modes, surface)
-    if domain is None:
-        raise ValueError("a sampled user field needs the thin domain for normalization")
     return sampled_displacement(arg, domain)

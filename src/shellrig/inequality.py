@@ -20,11 +20,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import FrameField, gradient_from_partials, on_grid
-from .fields import frame_gradient  # noqa: F401  (tools bind inequality.frame_gradient)
+from .fields import FrameField, frame_gradient, gradient_from_partials, on_grid  # noqa: F401  (tools bind frame_gradient)
 from .geometry import ThinDomain, embed, matvec  # noqa: F401  (re-exported: tools bind inequality.embed)
 from .matrixops import NonFiniteMatrixError, conjugate_3x3, dist_SO3, nearest_rotation
-from .norms import QuadratureGrid, lp_norm, lp_norms, magnitudes, weighted_mean
+from .norms import QuadratureGrid, lp_norm, lp_norms, magnitudes, weighted_mean  # noqa: F401  (tools bind lp_norm)
 
 Array = np.ndarray
 
@@ -122,19 +121,20 @@ def _metas(meta, stack: int) -> list:
 
 
 def _slabs(y: FrameField, grid: QuadratureGrid):
-    """``y`` on ``grid`` slab by slab: (rows, slab, comp, par, stacked) per slab, in theta order.
+    """``y`` on ``grid`` slab by slab: (rows, slab, comp, g, stacked) per slab, in theta order.
 
-    ``slab`` is ``grid.slab(rows)`` for consecutive theta rows that hold at
-    most SLAB_NODES nodes times stacked fields, and at least one row, so a
-    grid that fits is one slab, the grid itself.  The slabs of a grid hold
-    equal numbers of rows, give or take one: with a short last slab the
-    desk battery (13,824 nodes, slabs of 28 and 20 rows) faulted in 3x the
-    pages of equal slabs and ran 7% slower than one whole-grid pass, where
-    equal slabs stayed within 3%.  ``comp`` and ``par`` of
-    the slab always carry a seed axis; ``stacked`` tells whether the field
-    gave it.  The stack size is known once the field is evaluated, so the
-    first slab is sized for one field; a sweep's stacked chunks hold at most
-    ``experiments.CHUNK_NODES`` node values and fit one slab.
+    The one evaluation of a field on grid nodes, for ``interpolation_sides``,
+    ``korn_linear_sides`` and ``balance_form`` (these two through
+    ``_slab_norms``) and ``localization._nodal``.  ``slab`` is
+    ``grid.slab(rows)`` for consecutive theta rows that hold at most
+    SLAB_NODES nodes times stacked fields, and at least one row, so a grid
+    that fits is one slab, the grid itself.  The slabs of a grid hold equal
+    numbers of rows, give or take one: slabs of 28 and 20 rows faulted in 3x
+    the pages of equal slabs on the desk battery (13,824 nodes) and ran 7%
+    slower than one whole-grid pass, equal slabs within 3%.  ``comp`` and
+    the frame gradient ``g`` carry a seed axis; ``stacked`` tells whether
+    the field gave it.  The first slab is sized for one field (the stack is
+    unknown until then); a sweep's chunks (``experiments.CHUNK_NODES``) fit one slab.
     """
     nt, nth, nz = grid.resolution
     lo, stack = 0, 1
@@ -148,14 +148,31 @@ def _slabs(y: FrameField, grid: QuadratureGrid):
         if not stacked:
             comp, par = comp[None], par[None]
         stack = len(comp)
-        yield rows, slab, comp, par, stacked
-        del slab, comp, par  # before the next slab is evaluated
+        g = gradient_from_partials(comp, par, slab.t, slab.nodes.coeffs)
+        del par
+        yield rows, slab, comp, g, stacked
+        del slab, comp, g  # before the next slab is evaluated
         lo = rows.stop
 
 
 def _joined(parts: list) -> Array:
     """The per-slab arrays of one quantity as one whole-grid array (theta is axis 2, after the seed and t axes)."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+
+
+def _slab_norms(y: FrameField, grid: QuadratureGrid, p: float, *quantities) -> tuple:
+    """(stacked, then per quantity the L^p norms of the stack's fields) of ``y`` on ``grid``.
+
+    A quantity maps a slab's ``comp`` and ``g`` (``_slabs``) to nodal values;
+    only their ``magnitudes`` are kept for the whole grid, so the norms
+    (``lp_norms``) have the bits of a whole-grid pass.
+    """
+    mags = [[] for _ in quantities]
+    for rows, slab, comp, g, stacked in _slabs(y, grid):
+        for part, quantity in zip(mags, quantities):
+            part.append(magnitudes(quantity(comp, g), slab))
+        del comp, g
+    return (stacked, *(lp_norms(_joined(part), grid, p) for part in mags))
 
 
 def interpolation_sides(
@@ -175,17 +192,13 @@ def interpolation_sides(
     field's components and partials are evaluated once; ``grid`` must be a
     grid on ``domain``.
 
-    The nodal work runs in theta slabs (``_slabs``): per slab the field, its
-    gradient, E y - R x, dist(grad y, SO(3)), E^T R E and the magnitude
-    |grad y - E^T R E|.  What a whole-grid reduction reads goes into a
-    whole-grid array: the residual y - R x, the distance and that magnitude,
-    and for "best-fit" the gradient and the Euclidean gradient E g E^T, since
-    R comes from the latter's mean and is applied after the slabs.  The
-    means (``weighted_mean``) and the norms (``lp_norms``) then run on those
-    arrays as on the whole grid's, and every value is elementwise per node,
-    so the slabs do not move a bit.  An error is raised in the order of a
-    whole-grid pass: a non-finite gradient fails at the distance, after the
-    residual's norm.
+    The nodal work runs in theta slabs (``_slabs``).  What a whole-grid
+    reduction reads goes into a whole-grid array: the residual y - R x, the
+    distance and |grad y - E^T R E|, and for "best-fit" the gradient and the
+    Euclidean gradient E g E^T, since R comes from the latter's mean.  Every
+    value is elementwise per node, so the slabs do not move a bit.  An error
+    is raised in the order of a whole-grid pass: a non-finite gradient fails
+    at the distance, after the residual's norm.
 
     A field whose components carry a leading seed axis, (S, nt, ntheta, nz,
     3) as ``random_smooth_field`` gives for S seeds, is S deformations at
@@ -211,11 +224,7 @@ def interpolation_sides(
     # per-slab parts of the whole-grid arrays, and the error a whole-grid dist_SO3 would raise
     resid, dist, g_mag, g_all, ge = [], [], [], [], []
     dist_error = None
-    for rows, slab, comp, par, stacked in _slabs(y, grid):
-        if rows.start == 0:
-            metas = _metas(meta, len(comp))
-        g = gradient_from_partials(comp, par, slab.t, slab.nodes.coeffs)
-        del par
+    for rows, slab, comp, g, stacked in _slabs(y, grid):
         frame = slab.nodes.frame
         try:
             dist.append(dist_SO3(g))
@@ -233,6 +242,7 @@ def interpolation_sides(
             g_mag.append(magnitudes(g, slab))
         del g
     resid = _joined(resid)
+    metas = _metas(meta, len(resid))
     if best_fit:
         r = [_require_rotation(nearest_rotation(weighted_mean(m, grid), warn_degenerate=False)) for m in _joined(ge)]
         del ge
@@ -280,26 +290,15 @@ def korn_linear_sides(
 ) -> InequalityReport | list[InequalityReport]:
     """Linearized sides: gradient vs field norm and linear strain.
 
-    The field, its gradient and strain and the magnitudes of all three are
-    evaluated in theta slabs, as in ``interpolation_sides``; only the
-    magnitudes are kept for the whole grid, and their norms (``lp_norms``)
-    have the bits of a whole-grid pass.  A stacked field gives one report
-    per seed: the nodal arrays and the elementwise passes of the norms once
-    for the stack, the sum of each norm per seed.
+    The norms of the field, its strain and its gradient run in theta slabs
+    (``_slab_norms``).  A stacked field gives one report per seed.
     """
     if u.kind != "displacement":
         raise ValueError("the linearized sides need a displacement field")
-    mags = [], [], []  # per-slab magnitudes of the field, the strain and the gradient
-    for rows, slab, comp, par, stacked in _slabs(u, grid):
-        if rows.start == 0:
-            metas = _metas(meta, len(comp))
-        g = gradient_from_partials(comp, par, slab.t, slab.nodes.coeffs)
-        del par
-        mags[0].append(magnitudes(comp, slab))
-        mags[1].append(magnitudes(0.5 * (g + np.swapaxes(g, -1, -2)), slab))
-        mags[2].append(magnitudes(g, slab))
-        del comp, g
-    field_norms, strain_norms, g_norms = (lp_norms(_joined(m), grid, p) for m in mags)
+    stacked, field_norms, strain_norms, g_norms = _slab_norms(
+        u, grid, p, lambda comp, g: comp, lambda comp, g: 0.5 * (g + np.swapaxes(g, -1, -2)), lambda comp, g: g
+    )
+    metas = _metas(meta, len(g_norms))
     scale = grid.volume ** (2.0 / p)
     reports = []
     for field_norm, strain_norm, g_norm, m in zip(field_norms, strain_norms, g_norms, metas):
@@ -338,10 +337,7 @@ def balance_form(
     """Evaluate the balance terms of a displacement at exponent s in [0, 2]."""
     if not 0.0 <= s <= 2.0:
         raise ValueError("balance exponent s must lie in [0, 2]")
-    comp, par = on_grid(v, grid)
-    g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
-    dist_norm = lp_norm(dist_SO3(g + np.eye(3)), grid, p)
-    field_norm = lp_norm(comp, grid, p)
+    _, (dist_norm,), (field_norm,) = _slab_norms(v, grid, p, lambda c, g: dist_SO3(g + np.eye(3)), lambda c, g: c)
     h = domain.h
     return BalanceForm(
         s=float(s),

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import FrameField, gradient_from_partials, on_grid
-from .fields import frame_gradient  # noqa: F401  (tools bind localization.frame_gradient)
-from .geometry import ProfileError, ThicknessProfile, ThinDomain, matvec
-from .geometry import embed  # noqa: F401  (tools bind localization.embed)
+from .fields import FrameField, frame_gradient  # noqa: F401  (tools bind localization.frame_gradient)
+from .geometry import ProfileError, ThicknessProfile, ThinDomain, embed, matvec  # noqa: F401  (tools bind embed)
+from .inequality import _joined, _slabs
 from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
 from .norms import QuadratureGrid, lp_norm
 
@@ -138,8 +137,9 @@ def _nodal(v: FrameField, grid: QuadratureGrid) -> tuple[Array, Array, Array]:
 
     The gradient is conjugated back to the fixed Euclidean basis because the
     frame varies over a patch, so a constant rotation can only be fitted
-    there.  The result depends on v and the grid alone, so it is kept in
-    ``grid.memo["nodal"]`` (see ``QuadratureGrid``) as read-only arrays.
+    there.  It runs in theta slabs (``inequality._slabs``); the joined result
+    depends on v and the grid alone, so it is kept in ``grid.memo["nodal"]``
+    (see ``QuadratureGrid``) as read-only arrays.
 
     A field too large for double precision fails here, as a ValueError,
     before any patch reduction: numpy's floating-point warnings are silenced
@@ -149,15 +149,16 @@ def _nodal(v: FrameField, grid: QuadratureGrid) -> tuple[Array, Array, Array]:
     hit = grid.memo.get("nodal")
     if hit is not None and hit[0] is v:
         return hit[1]
+    parts = []  # (comp, ge, dist) per slab
     with np.errstate(all="ignore"):
-        comp, par = on_grid(v, grid)
-        g = gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs) + np.eye(3)
-        del par
-        ge = conjugate_3x3(grid.nodes.frame, g)
-        dist = dist_SO3(ge) if np.all(np.isfinite(ge)) else None
-    if dist is None or not np.all(np.isfinite(dist)):
-        raise ValueError("values must be finite on all grid nodes")
-    out = (comp, ge, dist)
+        for rows, slab, comp, g, stacked in _slabs(v, grid):
+            g += np.eye(3)
+            ge = conjugate_3x3(slab.nodes.frame, g)
+            dist = dist_SO3(ge) if np.all(np.isfinite(ge)) else None
+            if dist is None or not np.all(np.isfinite(dist)):
+                raise ValueError("values must be finite on all grid nodes")
+            parts.append((comp, ge, dist))
+    out = tuple(_joined(part)[0] for part in zip(*parts))
     for a in out:
         a.flags.writeable = False
     grid.memo["nodal"] = (v, out)

@@ -60,10 +60,11 @@ class QuadratureGrid:
     ``memo`` holds what depends on a field as well as the grid.  Only the
     localization audit fills it, with one entry ``"nodal"``: the last field
     traced on the grid and its components, Euclidean gradient and distance
-    to SO(3) on all nodes, so the bump trace's two passes over one grid
-    evaluate the field once.  The key is the field object itself (held, so
-    its identity cannot be reused); another field replaces the entry, and it
-    dies with the grid.  Sweeps never use it.
+    to SO(3) on all nodes, evaluated in slabs like a report's and joined,
+    so the bump trace's two passes over one grid evaluate the field once.
+    The key is the field object itself (held, so its identity cannot be
+    reused); another field replaces the entry, and it dies with the grid.
+    Sweeps never use it.
 
     A grid on another profile of the same surface at the same resolution has
     the same (theta, z) nodes, so it shares the plane geometry: ``on_domain``

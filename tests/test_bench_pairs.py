@@ -60,6 +60,11 @@ def test_bad_flags_fail_before_any_run(bench, monkeypatch, tmp_path, capsys, fla
 
 def test_checkouts_are_compiled_before_the_first_pair(bench, monkeypatch, tmp_path):
     parent, change = (tmp_path / "parent").resolve(), (tmp_path / "change").resolve()
+    for checkout, text in ((parent, "a = 1\nb = 2\n"), (change, "a = 1\n")):
+        (checkout / "src" / "pkg").mkdir(parents=True)
+        (checkout / "src" / "pkg" / "m.py").write_text(text)
+        (checkout / "src" / "pkg" / "__init__.py").write_text("\n")
+        (checkout / "src" / "pkg" / "notes.txt").write_text("not counted\n")
 
     def fake_run(checkout, workload, seed, seconds):
         assert bench.calls[:2] == [("compile", parent), ("compile", change)]
@@ -85,6 +90,7 @@ def test_checkouts_are_compiled_before_the_first_pair(bench, monkeypatch, tmp_pa
     assert "compileall -q src perfbench" in doc["method"]
     assert doc["claim"]["change_better_in_pairs"] == 2
     assert doc["heldout"]["seed"] == 2
+    assert doc["src_lines"] == {"parent": 3, "change": 2}
 
 
 def test_compile_checkout_writes_bytecode_even_without_bytecode_writing(tmp_path, monkeypatch):

@@ -287,6 +287,7 @@ def test_overflowing_sweep_fails_cleanly(tmp_path, command, field):
         (["doubling", "--centers", "0"], "--centers"),
         (["doubling", "--budget", "-1"], "--budget"),
         (["trace", "--amplitude", "-1"], "amplitude"),
+        (["trace", "--field", "user:missing.csv"], "'user:missing.csv'"),
         (["dist-so3", "--selftest", "--matrices", "0"], "--matrices"),
         (["dist-so3", "--selftest", "--rotations", "0"], "--rotations"),
         (["sweep", "--nt", "1"], "nt must be >= 2"),

@@ -1,23 +1,28 @@
 """Reports evaluated in theta slabs keep every bit and bound their memory.
 
-``inequality.interpolation_sides`` and ``korn_linear_sides`` run their nodal
-work slab by slab (``inequality._slabs``, ``QuadratureGrid.slab``) and reduce
-whole-grid arrays afterwards.  Shrinking ``inequality.SLAB_NODES`` splits the
-small grids of ``data/sweep_rows_reference.json`` into many slabs; the rows
-must still match the recorded ``repr`` strings.
+Every nodal path (``interpolation_sides``, ``korn_linear_sides``,
+``balance_form`` and the localization audit's ``_nodal``) runs slab by slab
+(``inequality._slabs``, ``QuadratureGrid.slab``) and reduces whole-grid
+arrays afterwards.  Shrinking ``inequality.SLAB_NODES`` splits the small
+grids of the ``data/*_reference.json`` files into many slabs; the rows,
+traces and per-patch records must still match the recorded ``repr`` strings.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from shellrig import cli
 from shellrig import experiments as ex
 from shellrig import fields as fl
 from shellrig import geometry as geo
 from shellrig import inequality as ineq
 from shellrig import norms as nm
 from test_sweep_evaluation import REFERENCE, _config_of
+import test_patch_reference as patch_ref
+import test_trace_evaluation as trace_ref
 
 
 def _rows_seen(monkeypatch):
@@ -44,6 +49,53 @@ def test_rows_in_slabs_are_bit_identical(monkeypatch, key, budget):
     rows = sweep(config).rows
     assert [{k: repr(v) for k, v in row.items()} for row in rows] == REFERENCE[key]
     assert seen and max(seen) <= budget // 30 < 12  # no slab held the whole grid
+
+
+def _most_rows(budget, resolution):
+    """Theta rows a slab of one field may hold on a grid of ``resolution``; fewer than the grid's."""
+    nt, nth, nz = resolution
+    most = max(1, budget // (nt * nz))
+    assert most < nth
+    return most
+
+
+@pytest.mark.parametrize("budget", [30, 100, 250])
+def test_balance_form_in_slabs_is_bit_identical(monkeypatch, budget):
+    monkeypatch.setattr(ineq, "SLAB_NODES", budget)
+    seen = _rows_seen(monkeypatch)
+    for name in trace_ref.SURFACES:
+        s = geo.make_surface(name)
+        for prof in trace_ref.PROFILES:
+            grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(prof, 2e-2, s)), (3, 12, 10))
+            bal = ineq.balance_form(fl.random_smooth_field(6, 0.2, 4, s), grid.domain, grid, 2.0, 0.7)
+            values = {k: getattr(bal, k) for k in ("field_norm", "dist_norm", "term_field", "term_dist")}
+            assert trace_ref._reprs(values) == trace_ref.REFERENCE[f"balance_form {name} {prof}"]
+    assert seen and max(seen) <= _most_rows(budget, (3, 12, 10))
+
+
+@pytest.mark.parametrize("budget", [30, 100, 250])
+@pytest.mark.parametrize("key", sorted(trace_ref.TRACES))
+def test_cli_traces_in_slabs_are_bit_identical(monkeypatch, tmp_path, key, budget):
+    monkeypatch.setattr(ineq, "SLAB_NODES", budget)
+    seen = _rows_seen(monkeypatch)
+    assert cli.main([*trace_ref.TRACE, *trace_ref.TRACES[key], "--out", str(tmp_path)]) == 0
+    assert trace_ref._reprs(json.loads((tmp_path / "trace.json").read_text())) == trace_ref.REFERENCE[key]
+    resolution = json.loads((tmp_path / "config.json").read_text())["grid"]
+    assert seen and max(seen) <= _most_rows(budget, resolution)
+
+
+@pytest.mark.parametrize("budget", [30, 100, 250])
+def test_patch_records_in_slabs_are_bit_identical(monkeypatch, budget):
+    monkeypatch.setattr(ineq, "SLAB_NODES", budget)
+    seen = _rows_seen(monkeypatch)
+    reference = json.loads(patch_ref.PATH.read_text())
+    for case in patch_ref._cases():  # a fresh grid per surface and h, shared by both p
+        seen.clear()
+        name, h, p, grid = case[0], case[1], case[2], case[5]
+        assert patch_ref._patch_values(*case) == reference[patch_ref._case_key("patch_trace", name, h, p)]
+        passage = reference[patch_ref._case_key("shell_to_domain_trace", name, h, p)]
+        assert patch_ref._passage_values(*case) == passage
+        assert seen and max(seen) <= _most_rows(budget, grid.resolution)  # at least the core grid's slabs
 
 
 def test_slab_views_the_grid_and_shares_its_plane_geometry():
