@@ -5,15 +5,18 @@ and the quadrature weights absorb the curvilinear volume element, so a
 weighted sum over nodes is an integral over the thin domain.  Reductions
 use a fixed summation order, which keeps runs bit-reproducible.
 
-The 1-d rules are built from numpy alone (``roots_legendre``), with the same
-bits as ``scipy.special.roots_legendre``, so importing this module does not
-load scipy.  Only an odd rule loads ``scipy.special``, for the value of the
-Legendre polynomials at its centre node.
+The 1-d rules are built from numpy alone (``roots_legendre``) and carry the
+bits of scipy 1.17.1's ``scipy.special.roots_legendre`` without importing
+scipy, odd rules included: the Legendre value at an odd rule's centre node
+takes scipy's power series, whose beta coefficients come from a port of
+cephes' ``lgam`` or, for the smaller degrees, from scipy's values recorded in
+``legendre_beta.json`` (``scripts/record_legendre_beta.py``).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -149,13 +152,66 @@ class QuadratureGrid:
         return self.t, th, zz
 
 
+# cephes' Stirling-series coefficients of lgam(x) for 13 <= x < 1000
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for 13 <= x < 1e8, in the operation order of cephes' ``lgam`` (libm log)."""
+    q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    return q + poly / x
+
+
+@lru_cache(maxsize=1)
+def _recorded_beta() -> dict:
+    """``legendre_beta.json``: scipy's B(a + 1, b) for a = 1..170 and its log|Gamma(b)|, per b = -0.5, 0.5."""
+    return json.loads(Path(__file__).with_name("legendre_beta.json").read_text())
+
+
+def _beta_half(a: int, b: float) -> float:
+    """B(a + 1, b) for b = -0.5 or 0.5 and 1 <= a < 10^6, with the bits of ``scipy.special.beta``.
+
+    cephes' ``beta`` divides Gamma values while a + 1 and a + 1 + b are at most
+    171.62 (a <= 170); those are read from the table recorded from scipy.  For
+    a >= 171 it takes sign(Gamma(b)) exp(lgam(a + 1) + (lgam(b) - lgam(a + 1 + b))),
+    ported here with lgam(b) from the table.
+    """
+    rec = _recorded_beta()[str(b)]
+    if a <= len(rec["beta"]):
+        return rec["beta"][a - 1]
+    y = rec["gammaln"] - _lgam(a + 1 + b)
+    return math.copysign(math.exp(_lgam(a + 1.0) + y), b)
+
+
+def _centre_legendre(n: int, x: float) -> float:
+    """P_n(x) for n >= 2 and |x| < 1e-5: scipy's power series, in its operation order."""
+    a, m = divmod(n, 2)
+    sign = -1.0 if a % 2 else 1.0
+    term = sign * (2 * x / _beta_half(a, 0.5) if m else -2.0 / _beta_half(a, -0.5))
+    total = 0.0
+    for k in range(a + 1):
+        total += term
+        term *= -2 * (a - k) * (2 * n - 2 * a + 2 * k + 1) * x * x / ((m + 2 * k + 1) * (m + 2 * k + 2))
+        if term == 0.0:  # so is every later term
+            break
+    return total
+
+
 def _legendre(n: int, x: Array) -> Array:
-    """P_n(x) for n >= 1, with the bits of ``scipy.special.eval_legendre(n, x)``.
+    """P_n(x) for n >= 1, with the bits of scipy 1.17.1's ``scipy.special.eval_legendre(n, x)``.
 
     This is scipy's three-term recurrence in its operation order.  Near 0
-    scipy switches to a power series whose coefficient comes from its beta
-    function, which is not correctly rounded, so the few |x| < 1e-5 (the
-    centre node of an odd rule) take scipy's own value, imported on demand.
+    scipy switches to a power series, so the few |x| < 1e-5 (the centre node
+    of an odd rule) take that series (``_centre_legendre``); scipy is not
+    imported.
     """
     if n == 1:
         return x.copy()
@@ -166,20 +222,19 @@ def _legendre(n: int, x: Array) -> Array:
         p += d
     centre = np.abs(x) < 1e-5
     if centre.any():
-        from scipy.special import eval_legendre
-
-        p[centre] = eval_legendre(n, x[centre])
+        p[centre] = [_centre_legendre(n, v) for v in x[centre].tolist()]
     return p
 
 
 def roots_legendre(n: int) -> tuple[Array, Array]:
     """The n-point Gauss-Legendre (nodes, weights) on [-1, 1], n >= 2.
 
-    Bit for bit ``scipy.special.roots_legendre(n)``, step by step: the
-    eigenvalues of the Jacobi matrix (``eigvalsh`` reduces a tridiagonal
-    matrix exactly and ends in the same LAPACK ``dsterf`` as scipy's
-    ``eigvals_banded``), one Newton step, log-normalised weights,
-    symmetrisation and scaling to the interval's length.  The dense
+    Bit for bit scipy 1.17.1's ``scipy.special.roots_legendre(n)``, step by
+    step, without importing scipy: the eigenvalues of the Jacobi matrix
+    (``eigvalsh`` reduces a tridiagonal matrix exactly and ends in the same
+    LAPACK ``dsterf`` as scipy's ``eigvals_banded``), one Newton step with
+    ``_legendre``, log-normalised weights, symmetrisation and scaling to the
+    interval's length.  The dense
     eigenvalue step costs O(n^3): on a 2-vCPU Xeon host about 40 ms at
     n = 506 and 0.4-0.7 s at n = 1600, against scipy's 10 ms and 0.1 s.
     """

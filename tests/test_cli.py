@@ -460,29 +460,56 @@ def test_cached_parser_carries_no_state(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("error: p must satisfy 1 < p < infinity") == 2
 
 
-# The start-up check runs in a fresh interpreter: the benchmark's battery call
-# (4-, 8- and 8-point rules) builds only even rules, which need no scipy.
+# The start-up checks run in a fresh interpreter.  Gauss-Legendre rules of even
+# and odd node counts alike are built from numpy alone, so importing the CLI and
+# running each argv (JSON in argv[1], output directories under argv[2]) loads no
+# scipy module; the script prints the node counts of the rules it built.
 START_UP = """
+import json
 import sys
 def loaded(*prefixes):
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 import shellrig.cli as cli
+import shellrig.norms as nm
 assert not loaded("scipy", "concurrent.futures"), loaded("scipy", "concurrent.futures")
-argv = ["sweep", "--surface", "sphere", "--field", "random", "--seeds", "20",
-        "--h-min", "1e-3", "--h-max", "1e-1", "--num-h", "4",
-        "--nt", "4", "--ntheta", "8", "--nz", "8", "--out", sys.argv[1]]
-assert cli.main(argv) == 0
-assert not loaded("scipy"), loaded("scipy")
+built = set()
+rule = nm.roots_legendre
+nm.roots_legendre = lambda n: built.add(n) or rule(n)
+for k, argv in enumerate(json.loads(sys.argv[1])):
+    assert cli.main([*argv, "--out", f"{sys.argv[2]}/{k}"]) == 0, argv
+    assert not loaded("scipy"), (argv, loaded("scipy"))
+print(json.dumps(sorted(built)))
 """
+
+BATTERY_ARGV = ["sweep", "--surface", "sphere", "--field", "random", "--seeds", "20",
+                "--h-min", "1e-3", "--h-max", "1e-1", "--num-h", "4", "--nt", "4", "--ntheta", "8", "--nz", "8"]
+SHARPNESS_ARGV = ["sweep", "--surface", "sphere", "--field", "ansatz", "--p", "2",
+                  "--h-min", "1e-3", "--h-max", "1e-1", "--num-h", "4", "--nt", "4", "--ntheta", "32", "--nz", "16"]
+ODD_ARGV = ["sweep", "--field", "random", "--seeds", "2", "--num-h", "4", "--h-min", "1e-2",
+            "--nt", "3", "--ntheta", "21", "--nz", "15"]
+
+
+def _start_up(tmp_path, *argvs):
+    """The node counts of the rules that ``START_UP`` built for ``argvs``; it fails on any scipy import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", START_UP, json.dumps(argvs), str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for k in range(len(argvs)):
+        assert (tmp_path / str(k) / "sweep.csv").exists()
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_start_up_and_even_rules_load_no_scipy(tmp_path):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", START_UP, str(tmp_path / "battery")],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "battery" / "sweep.csv").exists()
+    assert _start_up(tmp_path, BATTERY_ARGV) == [4, 8]
+
+
+def test_sharpness_and_odd_rules_load_no_scipy(tmp_path):
+    # the benchmark's sharpness call (adaptive theta rules of 506, 235, 110 and 51
+    # nodes) and a sweep whose rules all have odd node counts
+    built = _start_up(tmp_path, SHARPNESS_ARGV, ODD_ARGV)
+    assert {51, 110, 235, 506} <= set(built) and {3, 15, 21} <= set(built)
 
 
 def test_odd_rules_write_the_rows_of_scipys_rule(tmp_path, monkeypatch):

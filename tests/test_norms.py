@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -88,8 +89,9 @@ def test_gauss_legendre_rule_is_computed_once_per_node_count(monkeypatch):
 
 
 # every count up to 128 (the sharpness sweep's adaptive theta counts 51 and 110 among
-# them), its counts 235 and 506, and larger odd counts
-RULE_COUNTS = (*range(2, 129), 235, 506, 613, 1001)
+# them), its counts 235 and 506, and larger odd counts: 339-345 take the centre
+# series' beta coefficients from either side of the recorded table's end (a = 170)
+RULE_COUNTS = (*range(2, 129), 235, 339, 341, 343, 345, 506, 613, 1001, 1599)
 
 RULE_CHECK = """
 import sys
@@ -114,6 +116,37 @@ def test_numpy_rule_has_the_bytes_of_scipys_rule(blas_threads):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "", f"rules that differ: {proc.stdout.split()}"
+
+
+CENTRE_DEGREES = (*range(2, 801), *range(811, 3001, 37), 3000)
+
+
+def test_centre_series_has_the_bits_of_scipys_eval_legendre():
+    eval_legendre = pytest.importorskip("scipy.special").eval_legendre
+    x = np.concatenate([[0.0, -0.0, 1e-16, -1e-16, 1e-9, -1e-9, 9.99e-6, -9.99e-6],
+                        np.random.default_rng(18).uniform(-1e-5, 1e-5, 8)])
+    for n in CENTRE_DEGREES:
+        ours = np.array([nm._centre_legendre(n, v) for v in x.tolist()])
+        assert ours.tobytes() == eval_legendre(n, x).tobytes(), n
+
+
+def test_beta_coefficients_have_the_bits_of_scipys_beta():
+    beta = pytest.importorskip("scipy.special").beta
+    a = np.arange(1, 5001)
+    for b in (-0.5, 0.5):
+        ours = np.array([nm._beta_half(int(k), b) for k in a])
+        assert ours.tobytes() == beta(a + 1, b).tobytes(), b
+
+
+def test_recorded_beta_table_is_what_its_script_writes():
+    pytest.importorskip("scipy.special")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "record_legendre_beta.py"
+    spec = importlib.util.spec_from_file_location("record_legendre_beta", script)
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    table = Path(nm.__file__).resolve().with_name("legendre_beta.json")
+    assert record.TABLE == table
+    assert record.table_text() == table.read_text()
 
 
 def test_domain_construction_catches_degeneracy():
