@@ -88,7 +88,6 @@ def fit_exponent(pairs) -> ScalingFit:
     )
 
 
-CHUNK_NODES = 2048  # grid nodes times seeds of one battery chunk (see _sweep)
 CHOICES = {  # key -> its allowed values, for SweepConfig.validate and the sweep flags
     "surface": geo.SURFACES,
     "profile": geo.PROFILES,
@@ -124,12 +123,13 @@ class SweepConfig:
     slope_tol: float = 0.2
     threads: int = 1
 
-    def validate(self) -> None:
+    def validate(self) -> geo.ParamSurface:
         """Refuse a config no sweep can run, before anything is computed or written.
 
         Every key must have its default's type (an int passes for a float,
         a bool only for a bool), a float must be finite, and a key of
-        CHOICES must take one of its choices.
+        CHOICES must take one of its choices.  Returns the surface it built
+        to check h_max, for the sweep to use.
         """
         for f in fields(self):
             if f.default is MISSING:  # surface_params, set from flags only
@@ -166,6 +166,7 @@ class SweepConfig:
             raise ValueError(f"h_max={self.h_max:g} must stay below the chart bound h0={h0:g}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        return surf
 
     def h_values(self) -> np.ndarray:
         return np.geomspace(self.h_min, self.h_max, self.num_h)
@@ -289,20 +290,22 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
     skipped, and an h where every seed is non-finite fails.
 
     A battery's fields do not depend on h: they are drawn once per sweep as
-    stacked fields of ``max(1, CHUNK_NODES // nodes per grid)`` seeds each,
-    and one report call evaluates a chunk in one pass over its nodes.  The
+    stacked fields of ``max(1, inequality.SLAB_NODES // nodes per grid)``
+    seeds each, so a chunk is one slab of its report (``inequality._slabs``)
+    and one report call evaluates it in one pass over its nodes.  The
     reductions stay per seed, so each report keeps the bits of its seed
     alone (one ``np.sum`` over a stack adds in another order and moves last
     bits), and a grid above the budget gets one seed per chunk, so a fine
-    battery needs no more memory than one report.
+    battery needs no more memory than one report and the slab maps its grid
+    keeps (``norms.QuadratureGrid.slab``).  Only the ansatz field
+    reads the ansatz profile, so no other sweep builds one.
     """
-    config.validate()
-    surface = geo.make_surface(config.surface, **config.surface_params)
+    surface = config.validate()
     battery = config.field == "random"
-    profile = fl.default_ansatz_profile(surface)
+    profile = fl.default_ansatz_profile(surface) if config.field == "ansatz" else None
     if battery:
         # a battery's grid does not adapt to h (see _resolution_for)
-        size = max(1, CHUNK_NODES // (config.nt * config.ntheta * config.nz))
+        size = max(1, ineq.SLAB_NODES // (config.nt * config.ntheta * config.nz))
         parts = [range(lo, min(lo + size, config.seeds)) for lo in range(0, config.seeds, size)]
         chunks = [
             ([f"random:{seed}" for seed in part],

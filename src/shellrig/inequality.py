@@ -134,7 +134,8 @@ def _slabs(y: FrameField, grid: QuadratureGrid):
     slower than one whole-grid pass, equal slabs within 3%.  ``comp`` and
     the frame gradient ``g`` carry a seed axis; ``stacked`` tells whether
     the field gave it.  The first slab is sized for one field (the stack is
-    unknown until then); a sweep's chunks (``experiments.CHUNK_NODES``) fit one slab.
+    unknown until then); a battery sweep sizes its chunks of seeds by the same
+    budget (``experiments._sweep``), so a chunk on a grid that fits is one slab.
     """
     nt, nth, nz = grid.resolution
     lo, stack = 0, 1

@@ -164,7 +164,7 @@ def jacobi_eigh_3x3(b: np.ndarray):
             denom = np.where(rotate, 2.0 * apq, 1.0)
             theta = (a[..., q, q] - a[..., p, p]) / denom
             t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta**2 + 1.0))
-            t = np.where(np.signbit(theta) & (theta == 0), -t, t)
+            t = np.where(theta == 0, 1.0, t)  # equal diagonal entries: a 45-degree turn (np.sign(0) is 0)
             t = np.where(rotate, t, 0.0)
             c = 1.0 / np.sqrt(t**2 + 1.0)
             s = t * c

@@ -154,12 +154,20 @@ def _evaluations(monkeypatch, **cfg):
 
 
 def test_battery_chunks_follow_the_node_budget(monkeypatch):
-    # 4x8x8 = 256 nodes: 2048 // 256 = 8 seeds per chunk, so 20 seeds are
-    # drawn once as 8 + 8 + 4 and evaluated in 3 passes per h
-    assert _evaluations(monkeypatch, seeds=20, nt=4, ntheta=8, nz=8) == ([8, 8, 4], 3 * 4)
-    # 4x24x24 = 2304 nodes is above the budget: one seed per chunk
+    # a chunk is one report slab of at most ineq.SLAB_NODES = 8192 node values:
+    # 4x8x8 = 256 nodes hold 32 seeds, so 20 seeds are drawn once as one
+    # stack and evaluated in one pass per h
+    assert _evaluations(monkeypatch, seeds=20, nt=4, ntheta=8, nz=8) == ([20], 1 * 4)
+    # 4x24x24 = 2304 nodes hold 3 seeds: 5 seeds are drawn as 3 + 2
     base = dict(nt=4, ntheta=24, nz=24, adaptive_theta=False)
-    assert _evaluations(monkeypatch, seeds=3, **base) == ([1, 1, 1], 3 * 4)
+    assert _evaluations(monkeypatch, seeds=5, **base) == ([3, 2], 2 * 4)
+    # 4x48x48 = 9216 nodes is above the budget: one seed per chunk, and each
+    # report takes two slabs of 24 theta rows
+    base = dict(nt=4, ntheta=48, nz=48, adaptive_theta=False)
+    assert _evaluations(monkeypatch, seeds=3, **base) == ([1, 1, 1], 3 * 4 * 2)
+    # the budget is read when the sweep runs
+    monkeypatch.setattr(ineq, "SLAB_NODES", 1024)
+    assert _evaluations(monkeypatch, seeds=5, nt=4, ntheta=8, nz=8) == ([4, 1], 2 * 4)
 
 
 def _traced_peak(config) -> int:
@@ -172,7 +180,11 @@ def _traced_peak(config) -> int:
 
 
 def test_battery_above_the_budget_needs_no_more_memory_than_one_seed():
-    base = dict(num_h=4, h_min=1e-2, h_max=1e-1, nt=4, ntheta=24, nz=24, adaptive_theta=False)
+    # the desk battery's 6x48x48 = 13824 nodes is above ineq.SLAB_NODES: one
+    # seed per chunk.  From the second chunk on the grid keeps each slab's
+    # sub-grid and x -> x map (norms.QuadratureGrid.slab), which a lone seed
+    # drops; here that adds 7%, on a 4x48x48 grid 17%.
+    base = dict(num_h=4, h_min=1e-2, h_max=1e-1, nt=6, ntheta=48, nz=48, adaptive_theta=False)
     ex.run_sweep(ex.SweepConfig(field="random:0", **base))  # fill the quadrature-rule cache first
     single = _traced_peak(ex.SweepConfig(field="random:0", **base))
     battery = _traced_peak(ex.SweepConfig(field="random", seeds=5, **base))

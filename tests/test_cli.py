@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 
 from shellrig import cli
 from shellrig import experiments as ex
+from shellrig import fields as fl
+from shellrig import geometry as geo
 from shellrig import norms as nm
 
 FAST_SWEEP = [
@@ -116,6 +119,25 @@ def test_force_rerun_is_bit_identical(tmp_path):
     assert run(["sweep", *FAST_SWEEP, "--out", str(out2), "--force"]) == 0
     for name in ("config.json", "fit.json", "sweep.csv", "verdict.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("subcommand,field,profiles", [
+    ("sweep", "random", 0), ("korn-sweep", "random", 0), ("sweep", "random:3", 0), ("sweep", "ansatz", 1),
+])
+def test_a_sweep_builds_its_surface_and_profile_once(tmp_path, monkeypatch, subcommand, field, profiles):
+    # the CLI's own validation builds the surface once and the sweep once
+    # more; only the ansatz field reads an ansatz profile, one per sweep
+    calls = Counter()
+    for module, name in ((geo, "make_surface"), (fl, "default_ansatz_profile")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    argv = [subcommand, "--field", field, "--seeds", "3", *FAST_SWEEP, "--out", str(tmp_path / "run")]
+    assert run(argv) == 0
+    assert 1 <= calls["make_surface"] <= 2
+    assert calls["default_ansatz_profile"] == profiles
 
 
 def test_p_one_rejected_with_exit_2(tmp_path, capsys):

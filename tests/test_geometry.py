@@ -231,17 +231,19 @@ def test_bump_profile_satisfies_uniform_bounds():
 
 
 @pytest.mark.parametrize(
-    "g1_scale,g2_scale",
-    [(0.3, 1.0), (1.0, 0.3), (2.0, 1.0), (1.0, 2.0)],
+    "g1_scale,g2_scale,message",
+    [(0.3, 1.0, r"g1 dips below 1.0\*h"), (1.0, 0.3, r"g2 dips below 1.0\*h"),
+     (2.0, 1.0, r"g1 exceeds c1\*h \(max 2.000e-02"), (1.0, 2.0, r"g2 exceeds c1\*h \(max 2.000e-02")],
+    ids=["0.3-1.0", "1.0-0.3", "2.0-1.0", "1.0-2.0"],
 )
-def test_profile_rejects_bound_violations(g1_scale, g2_scale):
+def test_profile_rejects_bound_violations(g1_scale, g2_scale, message):
     h = 0.01
 
     def mk(scale):
         return lambda th, z: scale * h * np.ones(np.broadcast(np.asarray(th), np.asarray(z)).shape)
 
     prof = geo.ThicknessProfile(h=h, g1=mk(g1_scale), g2=mk(g2_scale), c1=1.5, c2=1.0)
-    with pytest.raises(geo.ProfileError):
+    with pytest.raises(geo.ProfileError, match=message):
         prof.validate_on(geo.plate())
 
 
@@ -254,6 +256,25 @@ def test_profile_rejects_steep_gradient():
     prof = geo.ThicknessProfile(h=h, g1=g, g2=g, c1=1.5, c2=2.0)
     with pytest.raises(geo.ProfileError, match="grad"):
         prof.validate_on(geo.plate())
+
+
+def test_profile_gradient_sums_both_sides_in_surface_units():
+    # on a cylinder of radius 4, |grad g| = |dg/dtheta| / 4 + ...: g1's theta
+    # slope 0.4 h gives 0.1 h and g2's z slope 0.3 h gives 0.3 h, 0.4 h in all
+    h, s = 0.01, geo.cylinder(radius=4.0)
+
+    def g1(th, z):
+        return h * (1.0 + 0.4 * np.asarray(th)) + 0.0 * np.asarray(z)
+
+    def g2(th, z):
+        return h * (1.0 + 0.3 * np.asarray(z)) + 0.0 * np.asarray(th)
+
+    geo.ThicknessProfile(h=h, g1=g1, g2=g2, c1=1.5, c2=0.41).validate_on(s)
+    with pytest.raises(geo.ProfileError, match=r"exceeds c2\*h \(max 4.000e-03"):
+        geo.ThicknessProfile(h=h, g1=g1, g2=g2, c1=1.5, c2=0.39).validate_on(s)
+    # the bounds on the values are checked before the gradient
+    with pytest.raises(geo.ProfileError, match=r"g1 exceeds c1\*h"):
+        geo.ThicknessProfile(h=h, g1=g1, g2=g2, c1=1.35, c2=0.39).validate_on(s)
 
 
 def test_thin_domain_rejects_huge_h():

@@ -45,6 +45,23 @@ def test_jacobi_matches_numpy_eigh():
     assert np.abs(recon - b).max() < 1e-10 * np.abs(b).max()
 
 
+@pytest.mark.parametrize("p,q", [(0, 1), (0, 2), (1, 2)])
+def test_jacobi_rotates_entries_between_equal_diagonal_entries(p, q):
+    # a_pp == a_qq makes theta 0, where np.sign gives 0; the entry a_pq must
+    # still be turned away (by 45 degrees), not dropped
+    b = np.diag([1.0, 1.0, 1.0])
+    b[p, q] = b[q, p] = 0.5
+    vals, vecs = mo.jacobi_eigh_3x3(b)
+    assert np.abs(vals - np.linalg.eigvalsh(b)[::-1]).max() < 1e-14
+    assert np.abs(np.einsum("ik,k,jk->ij", vecs, vals, vecs) - b).max() < 1e-14
+    # a symmetric positive-definite matrix is its own polar stretch: its
+    # nearest rotation is I, at the distance dist_SO3 gives
+    f = np.stack([b, 3.0 * b, np.eye(3) - 1.8 * (b - np.eye(3)), np.diag([2.0, 2.0, 2.0]) + 0.7 * (b - np.eye(3))])
+    r = mo.nearest_rotation(f)
+    assert np.abs(r - np.eye(3)).max() < 1e-14
+    assert np.abs(np.linalg.norm(f - r, axis=(-2, -1)) - mo.dist_SO3(f)).max() < 1e-14
+
+
 def test_brute_force_agreement_against_sampled_rotations():
     f = RNG.normal(size=(40, 3, 3))
     # force some negative determinants

@@ -88,8 +88,8 @@ def test_random_field_matches_broadcast_formula_on_any_shape(shapes, modes):
 
 
 def test_bump_chunk_partials_peak_and_bits():
-    # One 2048-node battery chunk: 8 seeds on a 4x8x8 bump grid, where the t
-    # angles cover every node.  The t sine goes into the term buffer, so the
+    # A battery chunk of 8 seeds on a 4x8x8 bump grid (2048 node values, one
+    # slab of ineq.SLAB_NODES), where the t angles cover every node.  The t sine goes into the term buffer, so the
     # partials peak below the 876 KB that a separate sine array made them take.
     s = geo.make_surface("sphere")
     grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile("bump", 1e-2, s)), (4, 8, 8))

@@ -126,7 +126,7 @@ def test_rows_asked_for_again_keep_their_slab():
 
 
 def test_a_battery_builds_each_slab_map_at_most_twice(monkeypatch):
-    # 4x24x24 = 2304 nodes is above the chunk budget, so 4 seeds make 4 chunks per h;
+    # 4x24x24 = 2304 nodes is above the node budget, so 4 seeds make 4 chunks per h;
     # 96 nodes per theta row and 1000 node values per slab make 3 slabs of 8 rows
     monkeypatch.setattr(ineq, "SLAB_NODES", 1000)
     seen = _rows_seen(monkeypatch)
