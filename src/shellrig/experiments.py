@@ -192,11 +192,11 @@ class SweepResult:
         return all(ok for ok, _ in self.verdicts.values())
 
 
-def _resolution_for(config: SweepConfig, domain: geo.ThinDomain) -> tuple[int, int, int]:
-    nth = config.ntheta
+def _fixed_resolution(config: SweepConfig) -> tuple[int, int, int] | None:
+    """The grid resolution of every h, or None where ntheta follows h (an adaptive ansatz sweep)."""
     if config.adaptive_theta and config.field.startswith("ansatz"):
-        nth = nm.adaptive_theta_resolution(domain, base=config.ntheta)
-    return (config.nt, nth, config.nz)
+        return None
+    return (config.nt, config.ntheta, config.nz)
 
 
 def _field(config: SweepConfig, grid: nm.QuadratureGrid, spec: str, profile: fl.AnsatzProfile):
@@ -289,23 +289,29 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
     done.  A battery keeps the largest finite ratio; non-finite reports are
     skipped, and an h where every seed is non-finite fails.
 
+    Where the resolution does not follow h (``_fixed_resolution``: all but
+    the adaptive ansatz sweep), the plane geometry (``norms.plane_nodes``)
+    is evaluated once, before any h runs, and each h's grid takes it
+    (``QuadratureGrid.sharing``); threads only read it.  Only that plane
+    outlives an h, never a grid or its other caches.
+
     A battery's fields do not depend on h: they are drawn once per sweep as
     stacked fields of ``max(1, inequality.SLAB_NODES // nodes per grid)``
     seeds each, so a chunk is one slab of its report (``inequality._slabs``)
-    and one report call evaluates it in one pass over its nodes.  The
-    reductions stay per seed, so each report keeps the bits of its seed
-    alone (one ``np.sum`` over a stack adds in another order and moves last
-    bits), and a grid above the budget gets one seed per chunk, so a fine
-    battery needs no more memory than one report and the slab maps its grid
-    keeps (``norms.QuadratureGrid.slab``).  Only the ansatz field
-    reads the ansatz profile, so no other sweep builds one.
+    and one report call evaluates it in one pass over its nodes, reductions
+    included (each keeps the bits of a lone seed).  A grid above the budget
+    gets one seed per chunk, so a fine battery needs no more memory than one
+    report and the slab maps its grid keeps (``norms.QuadratureGrid.slab``).
+    Only the ansatz field reads the ansatz profile, so no other sweep builds
+    one.
     """
     surface = config.validate()
     battery = config.field == "random"
     profile = fl.default_ansatz_profile(surface) if config.field == "ansatz" else None
+    fixed = _fixed_resolution(config)
+    plane = None if fixed is None else nm.plane_nodes(surface, fixed)
     if battery:
-        # a battery's grid does not adapt to h (see _resolution_for)
-        size = max(1, ineq.SLAB_NODES // (config.nt * config.ntheta * config.nz))
+        size = max(1, ineq.SLAB_NODES // math.prod(fixed))
         parts = [range(lo, min(lo + size, config.seeds)) for lo in range(0, config.seeds, size)]
         chunks = [
             ([f"random:{seed}" for seed in part],
@@ -315,7 +321,10 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
 
     def work(h: float):
         domain = geo.ThinDomain(surface, geo.make_profile(config.profile, h, surface))
-        grid = nm.build_grid(domain, _resolution_for(config, domain))
+        if plane is None:
+            grid = nm.build_grid(domain, (config.nt, nm.adaptive_theta_resolution(domain, config.ntheta), config.nz))
+        else:
+            grid = nm.build_grid(domain, fixed).sharing(plane)
         eps = epsilon(h)
         # an overflow fails on the finiteness checks of the norms and of
         # dist_SO3, so numpy's floating-point warnings would only add noise

@@ -312,9 +312,11 @@ def random_smooth_field(
 
     Evaluation is mode-major: the mode and component axes lead every array,
     so each product is one long pass over the nodes instead of many short
-    (3, modes) ones.  The factors of a term are multiplied in a fixed order
-    into one reused (modes, 3, ...) buffer, and ``_mode_sum`` adds the modes
-    in ``np.sum``'s order: in sequence, ((m0 + m1) + m2) + ..., below 8
+    (3, modes) ones.  A term is ((coefficient * t factor) * theta factor) *
+    z factor, each partial product at its own broadcast shape, so on a
+    uniform shell only the last multiply writes every node, into one reused
+    (modes, 3, ...) buffer (on a bump profile every product does).
+    ``_mode_sum`` adds the modes in ``np.sum``'s order: in sequence, ((m0 + m1) + m2) + ..., below 8
     modes, as the old (..., 3, modes) layout did.  ``components`` is returned
     C-contiguous, so a seed's slice of a stack has a lone seed's layout; the
     reports' bits no longer depend on it (``geometry.matvec`` sums E y in a
@@ -360,11 +362,17 @@ def random_smooth_field(
         az += ph_z[lift]
         return shape, lift, at, ath, az
 
+    def product(out, *factors):
+        # ((f0 * f1) * f2) * f3; a partial product goes into ``out`` only once it has out's shape
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = np.multiply(acc, f, out=out if np.broadcast_shapes(acc.shape, f.shape) == out.shape else None)
+        return acc
+
     def comp(t, theta, z):
         shape, lift, at, ath, az = angles(t, theta, z)
-        terms = np.multiply(coef[lift], np.cos(at, out=at), out=np.empty((mode_count, 3) + lead + shape))
-        terms *= np.cos(ath)
-        terms *= np.cos(az)
+        terms = np.empty((mode_count, 3) + lead + shape)
+        product(terms, coef[lift], np.cos(at, out=at), np.cos(ath), np.cos(az))
         return np.ascontiguousarray(_mode_sum(terms))
 
     def par(t, theta, z):
@@ -376,9 +384,7 @@ def random_smooth_field(
         out = np.empty(lead + shape + (3, 3))
         factors = ((w_t, st, cth, cz), (w_th, ct, sth, cz), (w_z, ct, cth, sz))
         for j, (w, a, b, d) in enumerate(factors):
-            np.multiply((-coef * w)[lift], a, out=terms)
-            terms *= b
-            terms *= d
+            product(terms, (-coef * w)[lift], a, b, d)
             out[..., j] = _mode_sum(terms)
         return out
 

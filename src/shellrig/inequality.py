@@ -23,7 +23,9 @@ import numpy as np
 from .fields import FrameField, frame_gradient, gradient_from_partials, on_grid  # noqa: F401  (tools bind frame_gradient)
 from .geometry import ThinDomain, embed, matvec  # noqa: F401  (re-exported: tools bind inequality.embed)
 from .matrixops import NonFiniteMatrixError, conjugate_3x3, dist_SO3, nearest_rotation
-from .norms import QuadratureGrid, lp_norm, lp_norms, magnitudes, weighted_mean  # noqa: F401  (tools bind lp_norm)
+from .norms import (  # noqa: F401  (tools bind lp_norm and weighted_mean)
+    QuadratureGrid, lp_norm, lp_norms, magnitudes, weighted_mean, weighted_means,
+)
 
 Array = np.ndarray
 
@@ -69,6 +71,7 @@ class InequalityReport:
 
 
 def _finalize(lhs, prod, field_sq, dist_sq, p, h, rotation, offset, scale, meta) -> InequalityReport:
+    """The report of measured sides; ``rotation`` and ``offset`` come as the report keeps them, tuples or None."""
     rhs_total = prod + field_sq + dist_sq
     tiny = DEGENERATE_RTOL * max(scale, 1e-300)
     flag = ""
@@ -82,8 +85,8 @@ def _finalize(lhs, prod, field_sq, dist_sq, p, h, rotation, offset, scale, meta)
         rhs_dist_sq=float(dist_sq),
         p=float(p),
         h=float(h),
-        rotation=None if rotation is None else tuple(map(tuple, np.asarray(rotation))),
-        offset=None if offset is None else tuple(np.asarray(offset)),
+        rotation=rotation,
+        offset=offset,
         ratio=float(ratio) if math.isfinite(ratio) else math.nan,
         flag=flag,
         meta=dict(meta or {}),
@@ -205,10 +208,12 @@ def interpolation_sides(
     3) as ``random_smooth_field`` gives for S seeds, is S deformations at
     once, and the result is a list of S reports; ``meta`` may then list one
     dict per seed.  The nodal arrays are computed once for the stack, and so
-    are the elementwise passes of the L^p norms.  Every reduction (offset,
-    best-fit rotation, the sum of an L^p norm) runs on one seed's
-    C-contiguous slice, as a lone seed's does, so each report has the bits
-    of its seed evaluated alone; a sum across the seed axis would move last bits.
+    is every reduction: the "mean" offsets and best-fit means are one
+    ``weighted_means`` einsum and the L^p sums one ``lp_norms`` pass.  Each
+    adds a seed's nodes in the order it takes for that seed alone, so each
+    report has the bits of its seed evaluated alone (pinned in
+    ``tests/test_battery_stack.py``).  Only the nearest rotation and the L^p
+    roots are taken per seed.
     """
     if y.kind != "deformation":
         raise ValueError("interpolation sides need a deformation field")
@@ -245,7 +250,7 @@ def interpolation_sides(
     resid = _joined(resid)
     metas = _metas(meta, len(resid))
     if best_fit:
-        r = [_require_rotation(nearest_rotation(weighted_mean(m, grid), warn_degenerate=False)) for m in _joined(ge)]
+        r = [_require_rotation(nearest_rotation(m, warn_degenerate=False)) for m in weighted_means(_joined(ge), grid)]
         del ge
         _subtract_rotated(resid, r, grid.nodes.point(grid.t))  # x without a whole-grid x -> x map
         g_all = _joined(g_all)
@@ -253,30 +258,29 @@ def interpolation_sides(
             g_s -= conjugate_3x3(frame_t, r_s)
         g_mag = [magnitudes(g_all, grid)]
         del g_all
+        rotations = [tuple(map(tuple, r_s)) for r_s in r]
+    else:
+        rotations = [tuple(map(tuple, r))] * len(resid)
 
-    offsets = []
-    for resid_s in resid:
-        if isinstance(offset, str):
-            b = weighted_mean(resid_s, grid)
-        else:
-            b = np.zeros(3) if offset is None else np.asarray(offset, dtype=float)
-        resid_s -= b
-        offsets.append(b)
+    if isinstance(offset, str):
+        offsets = weighted_means(resid, grid)
+    else:
+        offsets = np.broadcast_to(np.zeros(3) if offset is None else np.asarray(offset, dtype=float), (len(resid), 3))
+    resid -= offsets[:, None, None, None]
     field_norms = lp_norms(resid, grid, p)
-    del resid, resid_s  # the slice would keep the whole stack alive
+    del resid
     if dist_error is not None:
         raise dist_error
     dist_norms = lp_norms(_joined(dist), grid, p)
     del dist
     g_norms = lp_norms(_joined(g_mag), grid, p)
-    rots = r if isinstance(r, list) else [r] * len(g_norms)
     scale = grid.volume ** (2.0 / p)
     reports = []
-    for r_s, b, g_norm, field_norm, dist_norm, m in zip(rots, offsets, g_norms, field_norms, dist_norms, metas):
+    for r_s, b, g_norm, field_norm, dist_norm, m in zip(rotations, offsets, g_norms, field_norms, dist_norms, metas):
         lhs = g_norm**2
         prod = field_norm * dist_norm / domain.h
         reports.append(_finalize(
-            lhs, prod, field_norm**2, dist_norm**2, p, domain.h, r_s, b, scale,
+            lhs, prod, field_norm**2, dist_norm**2, p, domain.h, r_s, tuple(b), scale,
             {"variant": "interpolation", **(m or {})},
         ))
     return reports if stacked else reports[0]

@@ -71,7 +71,8 @@ class QuadratureGrid:
 
     A grid on another profile of the same surface at the same resolution has
     the same (theta, z) nodes, so it shares the plane geometry: ``on_domain``
-    (the audit's core-shell grid) reuses ``nodes`` instead of evaluating them.
+    (the audit's core-shell grid) reuses ``nodes`` instead of evaluating them,
+    and ``sharing`` gives a grid the ``plane_nodes`` of its sweep.
     """
 
     domain: ThinDomain
@@ -140,9 +141,12 @@ class QuadratureGrid:
         """``build_grid(domain, self.resolution)`` for a domain on this surface, sharing ``nodes``."""
         if domain.surface is not self.domain.surface:
             raise ValueError("a grid shares its plane geometry only with a domain on its surface")
-        grid = build_grid(domain, self.resolution)
-        grid.__dict__["nodes"] = self.nodes  # fills the cached property
-        return grid
+        return build_grid(domain, self.resolution).sharing(self.nodes)
+
+    def sharing(self, nodes: SurfaceNodes) -> QuadratureGrid:
+        """This grid, taking ``nodes``, the plane geometry of any grid on its surface at its resolution."""
+        self.__dict__["nodes"] = nodes  # fills the cached property
+        return self
 
     def mesh(self) -> tuple[Array, Array, Array]:
         """Full (nt, ntheta, nz) coordinate arrays."""
@@ -278,16 +282,8 @@ def build_grid(domain: ThinDomain, resolution: tuple[int, int, int]) -> Quadratu
     nt, nth, nz = (int(n) for n in resolution)
     if min(nt, nth, nz) < 2:
         raise ValueError("every grid dimension needs at least 2 nodes")
-    t0, t1, z0, z1 = domain.surface.domain
-
     xt, wt = _gauss_legendre(nt)
-    xth, wth = _gauss_legendre(nth)
-    xz, wz = _gauss_legendre(nz)
-
-    theta = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * xth
-    z = 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * xz
-    wth = 0.5 * (t1 - t0) * wth
-    wz = 0.5 * (z1 - z0) * wz
+    theta, wth, z, wz = _plane_rules(domain.surface, nth, nz)
 
     th2 = theta[:, None]
     z2 = z[None, :]
@@ -320,6 +316,27 @@ def build_grid(domain: ThinDomain, resolution: tuple[int, int, int]) -> Quadratu
         z=z,
         weights=weights,
     )
+
+
+def _plane_rules(surface, nth: int, nz: int) -> tuple[Array, Array, Array, Array]:
+    """theta, its weights, z and its weights: the plane rules of every grid on ``surface`` with nth x nz nodes."""
+    t0, t1, z0, z1 = surface.domain
+    xth, wth = _gauss_legendre(nth)
+    xz, wz = _gauss_legendre(nz)
+    theta = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * xth
+    z = 0.5 * (z0 + z1) + 0.5 * (z1 - z0) * xz
+    return theta, 0.5 * (t1 - t0) * wth, z, 0.5 * (z1 - z0) * wz
+
+
+def plane_nodes(surface, resolution: tuple[int, int, int]) -> SurfaceNodes:
+    """``build_grid(domain, resolution).nodes`` for every thin domain on ``surface``, without a grid.
+
+    It depends on neither h nor the profile, so a sweep at one resolution
+    hands it to each h's grid (``QuadratureGrid.sharing``).
+    """
+    _, nth, nz = (int(n) for n in resolution)
+    theta, _, z, _ = _plane_rules(surface, nth, nz)
+    return surface.nodes(theta[:, None], z[None, :])
 
 
 def adaptive_theta_resolution(domain: ThinDomain, base: int = 64) -> int:
@@ -360,23 +377,34 @@ def lp_norms(stack: Array, grid: QuadratureGrid, p: float) -> list[float]:
 
     ``stack`` holds the nodal values of each field along its first axis, or
     their ``magnitudes`` (nonnegative scalars, which give the same bits).
-    The magnitudes, the finiteness check and the weighted powers are
-    elementwise, so each is one pass over the whole stack.  The
-    sum runs once per field on that field's C-contiguous slice, so a field's
-    norm has the same bits in any stack; a reduction that runs across the
-    stack axis adds in another order and moves last bits.
+    The magnitudes, the finiteness check, the weighted powers and the sums
+    are each one pass over the whole stack.  The sums run along the last
+    axis of the C-contiguous (fields, nodes) stack, which adds each row in
+    the pairwise order ``np.sum`` takes on that field alone, so a field's
+    norm has the same bits in any stack (``tests/test_norms.py``).  The root
+    stays one scalar ``**`` per field: numpy's array power rounds some
+    x^(1/p) differently from the scalar one.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("p must satisfy 1 < p < infinity")
     mag = magnitudes(stack, grid)
     if not np.all(np.isfinite(mag)):
         raise ValueError("values must be finite on all grid nodes")
-    return [float(np.sum(w) ** (1.0 / p)) for w in grid.weights * mag**p]
+    sums = (grid.weights * mag**p).reshape(len(mag), -1).sum(axis=-1)
+    return [float(s ** (1.0 / p)) for s in sums]
 
 
 def weighted_mean(values: Array, grid: QuadratureGrid) -> Array:
-    """Volume-weighted mean of nodal vectors or matrices, shape (nt, ntheta, nz, ...)."""
-    return np.einsum("tij,tij...->...", grid.weights, np.asarray(values, dtype=float)) / grid.volume
+    """Volume-weighted mean of nodal vectors or matrices, shape (nt, ntheta, nz, ...): ``weighted_means`` of one."""
+    return weighted_means(np.asarray(values)[None], grid)[0]
+
+
+def weighted_means(stack: Array, grid: QuadratureGrid) -> Array:
+    """The volume-weighted mean of each field of a stack (S, nt, ntheta, nz, ...) of vectors or matrices.
+
+    One einsum, which sums each field's nodes in its order for that field alone (same bits).
+    """
+    return np.einsum("tij,stij...->s...", grid.weights, np.asarray(stack, dtype=float)) / grid.volume
 
 
 # -- sampled-field CSV schema -----------------------------------------------------

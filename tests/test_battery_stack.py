@@ -36,6 +36,16 @@ def _bits(rep) -> str:
     return repr(rep.to_dict())
 
 
+def _lp_alone(values, grid, p):
+    """The L^p norm of one field's nodal values as one ``np.sum`` over its nodes, the sum before stacking."""
+    return float(np.sum(grid.weights * nm.magnitudes(np.asarray(values)[None], grid)[0] ** p) ** (1.0 / p))
+
+
+def _mean_alone(values, grid):
+    """The volume-weighted mean of one field's nodal values, as one einsum over that field alone."""
+    return np.einsum("tij,tij...->...", grid.weights, values) / grid.volume
+
+
 def _lone_sides(y, rotation, offset, grid, p):
     """The sides of one unstacked deformation, as ``interpolation_sides`` computed them before stacking."""
     comp, par = fl.on_grid(y, grid)
@@ -43,12 +53,12 @@ def _lone_sides(y, rotation, offset, grid, p):
     frame = grid.nodes.frame
     r = rotation
     if isinstance(rotation, str):
-        r = mo.nearest_rotation(nm.weighted_mean(mo.conjugate_3x3(frame, g), grid), warn_degenerate=False)
+        r = mo.nearest_rotation(_mean_alone(mo.conjugate_3x3(frame, g), grid), warn_degenerate=False)
     resid = np.einsum("...ij,...j->...i", frame, comp) - np.einsum("ij,...j->...i", r, grid.identity.points)
-    b = nm.weighted_mean(resid, grid) if offset == "mean" else np.zeros(3)
-    field_norm = nm.lp_norm(resid - b, grid, p)
-    dist_norm = nm.lp_norm(mo.dist_SO3(g), grid, p)
-    lhs = nm.lp_norm(g - mo.conjugate_3x3(np.swapaxes(frame, -1, -2), r), grid, p) ** 2
+    b = _mean_alone(resid, grid) if offset == "mean" else np.zeros(3)
+    field_norm = _lp_alone(resid - b, grid, p)
+    dist_norm = _lp_alone(mo.dist_SO3(g), grid, p)
+    lhs = _lp_alone(g - mo.conjugate_3x3(np.swapaxes(frame, -1, -2), r), grid, p) ** 2
     h = grid.domain.h
     return lhs, field_norm * dist_norm / h, field_norm**2, dist_norm**2, tuple(map(tuple, r)), tuple(b)
 
@@ -119,9 +129,42 @@ def test_stacked_korn_sides_equal_each_single_seed(grid, p, modes):
         # the reference: the three norms of the lone seed's own arrays
         comp, par = fl.on_grid(u, grid)
         g = fl.gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
-        strain = nm.lp_norm(0.5 * (g + np.swapaxes(g, -1, -2)), grid, p)
-        field = nm.lp_norm(comp, grid, p)
-        assert repr(_sides_of(rep)) == repr((nm.lp_norm(g, grid, p) ** 2, field * strain / H, field**2, strain**2, None, None))
+        strain = _lp_alone(0.5 * (g + np.swapaxes(g, -1, -2)), grid, p)
+        field = _lp_alone(comp, grid, p)
+        assert repr(_sides_of(rep)) == repr((_lp_alone(g, grid, p) ** 2, field * strain / H, field**2, strain**2, None, None))
+
+
+def _stacked_arrays(field, grid, eps):
+    """E y and the Euclidean gradient E g E^T of x + eps u on ``grid``, with a leading seed axis."""
+    y = fl.displacement_to_deformation(grid.domain.surface, field, eps)
+    comp, par = fl.on_grid(y, grid)
+    if comp.ndim == 4:
+        comp, par = comp[None], par[None]
+    g = fl.gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
+    return geo.matvec(grid.nodes.frame, comp), mo.conjugate_3x3(grid.nodes.frame, g)
+
+
+@pytest.mark.parametrize("case", ["battery 4x8x8", "bump", "ansatz 4x506x16"])
+def test_stacked_means_keep_each_fields_bits(case):
+    # the "mean" offsets and best-fit means of a stack are one einsum over it;
+    # each must have the bits of that field's own einsum
+    s = geo.make_surface("sphere")
+    if case == "ansatz 4x506x16":
+        domain = geo.ThinDomain(s, geo.make_profile("shell", 1e-3, s))
+        resolution = (4, nm.adaptive_theta_resolution(domain, 32), 16)
+        assert resolution == (4, 506, 16)  # the benchmark's sharpness grid at h = 1e-3
+        field = fl.ansatz_displacement(fl.default_ansatz_profile(s), s, 1e-3)
+    else:
+        profile, h, resolution = ("shell", 1e-3, (4, 8, 8)) if case == "battery 4x8x8" else ("bump", 1e-2, (4, 12, 10))
+        domain = geo.ThinDomain(s, geo.make_profile(profile, h, s))
+        field = fl.random_smooth_field(list(range(20)), 0.1, 4, s)
+    grid = nm.build_grid(domain, resolution)
+    for stack in _stacked_arrays(field, grid, domain.h):
+        means = nm.weighted_means(stack, grid)
+        assert len(means) == len(stack) == (1 if case.startswith("ansatz") else 20)
+        for mean, values in zip(means, stack):
+            assert mean.tobytes() == _mean_alone(values, grid).tobytes()
+            assert mean.tobytes() == nm.weighted_mean(values, grid).tobytes()
 
 
 def test_a_stack_needs_one_meta_per_seed(grid):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -212,6 +213,23 @@ def test_polynomial_closed_form(plate_grid):
     assert nm.lp_norm(v, plate_grid, 2.0) == pytest.approx(np.sqrt(h / 15.0), abs=1e-14)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 32768])
+def test_stacked_lp_sums_keep_each_fields_bits(n, p):
+    # lp_norms sums a C-contiguous (fields, nodes) stack along its last axis in
+    # one pass; each field must keep the bits of np.sum over its nodes alone, at
+    # node counts around numpy's pairwise block (128) and buffer (8192) sizes
+    rng = np.random.default_rng(n)
+    grid = SimpleNamespace(resolution=(1, 1, n), weights=rng.uniform(0.0, 1e-3, (1, 1, n)))
+    stack = rng.standard_normal((5, 1, 1, n, 3)) * rng.uniform(0.0, 10.0, (5, 1, 1, 1, 1))
+    norms = nm.lp_norms(stack, grid, p)
+    assert len(norms) == len(stack)
+    for norm, values in zip(norms, stack):
+        assert repr(norm) == repr(nm.lp_norm(values, grid, p))
+        alone = float(np.sum(grid.weights * np.linalg.norm(values, axis=-1) ** p) ** (1.0 / p))
+        assert repr(norm) == repr(alone)
+
+
 def test_unsupported_p(plate_grid):
     ones = np.ones(plate_grid.resolution)
     for p in (1.0, 0.5, np.inf):
@@ -317,3 +335,18 @@ def test_grid_on_another_profile_shares_the_plane_geometry(name):
         assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="only with a domain on its surface"):
         bump.on_domain(geo.ThinDomain(geo.make_surface(name), geo.shell_profile(2e-2)))
+
+
+@pytest.mark.parametrize("name", ["plate", "sphere", "pseudosphere"])
+def test_plane_nodes_are_the_plane_geometry_of_every_grid_on_the_surface(name):
+    # a sweep at a fixed resolution evaluates the plane once and gives it to each h's grid
+    s = geo.make_surface(name)
+    plane = nm.plane_nodes(s, (3, 12, 10))
+    for profile, h in (("shell", 1e-3), ("bump", 2e-2)):
+        grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(profile, h, s)), (3, 12, 10))
+        n = grid.nodes
+        for got, want in zip((plane.position, plane.frame, plane.d_theta, plane.d_z, *plane.coeffs),
+                             (n.position, n.frame, n.d_theta, n.d_z, *n.coeffs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        shared = nm.build_grid(grid.domain, (3, 12, 10)).sharing(plane)
+        assert shared.nodes is plane

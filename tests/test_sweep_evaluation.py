@@ -8,6 +8,7 @@ grid and its cached geometry must not move a single bit.
 
 import dataclasses
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -75,6 +76,42 @@ def test_each_report_evaluates_its_field_once(monkeypatch, sweep, report):
                                nt=4, ntheta=8, nz=8))
     assert len(res.rows) == 4
     # 3 seeds x 4 h: the seeds are drawn once per sweep as one stacked field,
-    # and each h makes one report call, one field evaluation, one grid and one
-    # frame evaluation (on the (theta, z) nodes) for all three seeds
-    assert counts == {"draws": 1, "reports": 4, "components": 4, "partials": 4, "build_grid": 4, "frame": 4}
+    # and each h makes one report call, one field evaluation and one grid for
+    # all three seeds; the resolution does not follow h, so the frame on the
+    # (theta, z) nodes is evaluated once per sweep and every grid shares it
+    assert counts == {"draws": 1, "reports": 4, "components": 4, "partials": 4, "build_grid": 4, "frame": 1}
+
+
+def _counted_planes(monkeypatch):
+    """Record, at each ``ParamSurface.nodes`` call, how many planes it has built are alive with the new one."""
+    planes, alive_at_build = [], []
+    nodes = geo.ParamSurface.nodes
+
+    def counted(self, theta, z):
+        out = nodes(self, theta, z)
+        planes.append(weakref.ref(out))
+        alive_at_build.append(sum(ref() is not None for ref in planes))
+        return out
+
+    monkeypatch.setattr(geo.ParamSurface, "nodes", counted)
+    return alive_at_build
+
+
+def test_threaded_battery_shares_one_plane_and_keeps_the_serial_bits(monkeypatch):
+    cfg = dict(field="random", seeds=20, num_h=4, h_min=1e-3, h_max=1e-1, nt=4, ntheta=8, nz=8)
+    serial = ex.run_sweep(ex.SweepConfig(threads=1, **cfg))
+    alive_at_build = _counted_planes(monkeypatch)
+    threaded = ex.run_sweep(ex.SweepConfig(threads=4, **cfg))
+    assert [{k: repr(v) for k, v in row.items()} for row in threaded.rows] == [
+        {k: repr(v) for k, v in row.items()} for row in serial.rows
+    ]
+    assert alive_at_build == [1]  # one plane, built before any h ran
+
+
+def test_adaptive_ansatz_sweep_builds_one_plane_per_h_and_keeps_one_alive(monkeypatch):
+    alive_at_build = _counted_planes(monkeypatch)
+    res = ex.run_sweep(ex.SweepConfig(field="ansatz", num_h=4, h_min=1e-3, h_max=1e-1, nt=4, ntheta=32, nz=16))
+    # ntheta follows h, so each h's grid evaluates its own plane, and the grid
+    # of the h before is gone by then
+    assert len({row["grid_ntheta"] for row in res.rows}) == 4
+    assert alive_at_build == [1, 1, 1, 1]
