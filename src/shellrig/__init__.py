@@ -15,7 +15,6 @@ from .fields import (
     euclidean_gradient_oracle,
     frame_gradient,
     identity_deformation,
-    linear_strain,
     random_smooth_field,
     rigid_deformation,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "interpolation_sides",
     "korn_linear_sides",
     "korn_sweep",
-    "linear_strain",
     "lp_norm",
     "make_surface",
     "nearest_rotation",

@@ -160,7 +160,7 @@ _SWEEP_DEFAULTS = {
 }
 _SWEEP_HELP = {
     "p": "norm exponent, 1 < p < inf",
-    "field": "identity | rigid:<seed> | ansatz | random:<seed> | random",
+    "field": "identity | rigid:<seed> | ansatz | random:<seed> | random | user:<csv>",
     "seeds": "battery size for --field random",
 }
 
@@ -250,9 +250,7 @@ def _cmd_trace(args) -> int:
     nth = max(args.ntheta, 4 * dec.m_theta)
     nz = max(args.nz, 4 * dec.m_z)
     grid = nm.build_grid(domain, (args.nt, nth, nz))
-    u = fl.make_field(
-        args.field, surface, args.h, amplitude=args.amplitude, modes=args.modes, domain=domain
-    )
+    u = fl.make_field(args.field, domain, amplitude=args.amplitude, modes=args.modes)
     if u.kind != "displacement":
         raise UsageError("trace needs a displacement field (ansatz or random:<seed>)")
     out = _outdir(args)
@@ -270,7 +268,7 @@ def _cmd_trace(args) -> int:
             "degenerate": dec.degenerate,
         }
         if args.profile == "bump":
-            sdt = loc.shell_to_domain_trace(u, domain, grid, args.p)
+            sdt = loc.shell_to_domain_trace(u, grid, args.p)
             # not asdict: it would deep-copy the per_patch list, which trace.json leaves out
             summary["shell_to_domain"] = {
                 f.name: getattr(sdt, f.name) for f in dataclasses.fields(sdt) if f.name != "per_patch"

@@ -54,7 +54,6 @@ class SweepError(RuntimeError):
 class ScalingFit:
     """Least-squares slope of log(value) against log(h)."""
 
-    pairs: tuple
     alpha_hat: float
     intercept: float
     r2: float
@@ -80,7 +79,6 @@ def fit_exponent(pairs) -> ScalingFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return ScalingFit(
-        pairs=tuple(pairs),
         alpha_hat=float(slope),
         intercept=float(intercept),
         r2=float(r2),
@@ -199,14 +197,6 @@ def _fixed_resolution(config: SweepConfig) -> tuple[int, int, int] | None:
     return (config.nt, config.ntheta, config.nz)
 
 
-def _field(config: SweepConfig, grid: nm.QuadratureGrid, spec: str, profile: fl.AnsatzProfile):
-    domain = grid.domain
-    return fl.make_field(
-        spec, domain.surface, domain.h, amplitude=config.amplitude, modes=config.modes,
-        profile=profile, domain=domain,
-    )
-
-
 def _metas(eps: float, specs: list, grid: nm.QuadratureGrid) -> list:
     return [{"epsilon": eps, "field": spec, "grid": grid.resolution} for spec in specs]
 
@@ -226,12 +216,12 @@ def _single_report(config: SweepConfig, grid: nm.QuadratureGrid, eps: float, spe
         rot, off = y.motion
     if config.rotation_mode == "best-fit":
         rot = "best-fit"
-    return ineq.interpolation_sides(y, rot, off, grid.domain, grid, config.p, meta=_metas(eps, specs, grid))
+    return ineq.interpolation_sides(y, rot, off, grid, config.p, meta=_metas(eps, specs, grid))
 
 
 def _korn_report(config: SweepConfig, grid: nm.QuadratureGrid, eps: float, specs: list, u: fl.FrameField):
     """Linearized report of a displacement, or the list of reports of stacked seeds (see _single_report)."""
-    return ineq.korn_linear_sides(u, grid.domain, grid, config.p, meta=_metas(eps, specs, grid))
+    return ineq.korn_linear_sides(u, grid, config.p, meta=_metas(eps, specs, grid))
 
 
 def _row_from(rep, resolution, h, eps) -> dict:
@@ -330,8 +320,8 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
         # dist_SO3, so numpy's floating-point warnings would only add noise
         with np.errstate(all="ignore"):
             if not battery:
-                rep = report(config, grid, eps, [config.field], _field(config, grid, config.field, profile))
-                return h, eps, rep, grid.resolution
+                field = fl.make_field(config.field, domain, config.amplitude, config.modes, profile)
+                return h, eps, report(config, grid, eps, [config.field], field), grid.resolution
             reps = [rep for specs, field in chunks for rep in report(config, grid, eps, specs, field)]
         finite = [rep for rep in reps if math.isfinite(rep.ratio)]
         if not finite:

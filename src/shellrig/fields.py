@@ -132,14 +132,6 @@ def on_grid(field: FrameField, grid) -> tuple[Array, Array]:
     return comp, par
 
 
-def linear_strain(field: FrameField, surface: ParamSurface, t, theta, z) -> Array:
-    """Symmetric part of the frame gradient of a displacement."""
-    if field.kind != "displacement":
-        raise ValueError("linear strain is defined for displacement fields")
-    g = frame_gradient(field, surface, t, theta, z)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
-
-
 def euclidean_gradient_oracle(
     field: FrameField, domain: ThinDomain, t, theta, z, step: float = 1e-4
 ) -> Array:
@@ -636,7 +628,7 @@ def sampled_displacement(path, domain: ThinDomain) -> FrameField:
     return FrameField(comp, par, kind="displacement", description=f"sampled({path})")
 
 
-FIELD_SPEC = re.compile(r"identity|ansatz|(rigid|random)(:[0-9]*)?|user:.+")
+FIELD_SPEC = re.compile(r"identity|ansatz|(rigid|random)(:[0-9]+)?|user:.+")
 
 
 def field_kind(spec: str) -> str:
@@ -644,7 +636,7 @@ def field_kind(spec: str) -> str:
 
     The grammar is ``FIELD_SPEC``: identity | rigid:<seed> | ansatz |
     random:<seed> | user:<csv>, where a seed is a nonnegative decimal integer
-    and an omitted seed means 0.
+    of at least one digit; ``rigid`` or ``random`` without a colon means seed 0.
     """
     if not FIELD_SPEC.fullmatch(spec):
         raise ValueError(
@@ -658,21 +650,19 @@ def field_kind(spec: str) -> str:
 
 def make_field(
     spec: str,
-    surface: ParamSurface,
-    h: float,
+    domain: ThinDomain,
     amplitude: float = 0.1,
     modes: int = 4,
     profile: AnsatzProfile | None = None,
-    domain: ThinDomain | None = None,
 ) -> FrameField:
     """Field registry: the one place a spec string becomes a field (grammar: ``field_kind``).
 
-    ``rigid:<seed>`` draws its rotation and offset from the seed; the field
-    carries them as ``motion``.
+    ``domain`` gives the surface, the ansatz's h and the thickness profile
+    that normalizes a sampled user field.  ``rigid:<seed>`` draws its
+    rotation and offset from the seed; the field carries them as ``motion``.
     """
-    if spec.startswith("user:") and domain is None:
-        raise ValueError("a sampled user field needs the thin domain for normalization")
     field_kind(spec)
+    surface = domain.surface
     name, _, arg = spec.partition(":")
     if name == "identity":
         return identity_deformation(surface)
@@ -681,7 +671,7 @@ def make_field(
         return rigid_deformation(surface, random_rotation(rng), rng.normal(size=3))
     if name == "ansatz":
         prof = profile or default_ansatz_profile(surface)
-        return ansatz_displacement(prof, surface, h)
+        return ansatz_displacement(prof, surface, domain.h)
     if name == "random":
         return random_smooth_field(int(arg or 0), amplitude, modes, surface)
     return sampled_displacement(arg, domain)

@@ -661,11 +661,6 @@ class DoublingEstimate:
 
     ratio: float
     stderr: float
-    area_r: float
-    area_2r: float
-    radius: float
-    center: tuple[float, float]
-    budget: int
     warnings: tuple[str, ...] = ()
 
 
@@ -759,13 +754,4 @@ def doubling_ratio(
         warnings_.append("sample budget too small for a reliable estimate")
     if stderr > 0.02 * max(ratio, 1e-12):
         warnings_.append("estimator standard error above 2% of the ratio")
-    return DoublingEstimate(
-        ratio=ratio,
-        stderr=stderr,
-        area_r=area_r,
-        area_2r=area_2r,
-        radius=float(radius),
-        center=(float(thc), float(zc)),
-        budget=int(budget),
-        warnings=tuple(warnings_),
-    )
+    return DoublingEstimate(ratio=ratio, stderr=stderr, warnings=tuple(warnings_))

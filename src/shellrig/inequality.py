@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import FrameField, frame_gradient, gradient_from_partials, on_grid  # noqa: F401  (tools bind frame_gradient)
-from .geometry import ThinDomain, embed, matvec  # noqa: F401  (re-exported: tools bind inequality.embed)
+from .geometry import embed, matvec  # noqa: F401  (re-exported: tools bind inequality.embed)
 from .matrixops import NonFiniteMatrixError, conjugate_3x3, dist_SO3, nearest_rotation
 from .norms import (  # noqa: F401  (tools bind lp_norm and weighted_mean)
     QuadratureGrid, lp_norm, lp_norms, magnitudes, weighted_mean, weighted_means,
@@ -183,7 +183,6 @@ def interpolation_sides(
     y: FrameField,
     rotation: Array | str,
     offset: Array | str | None,
-    domain: ThinDomain,
     grid: QuadratureGrid,
     p: float,
     meta: dict | list | None = None,
@@ -193,8 +192,8 @@ def interpolation_sides(
     ``rotation`` is a matrix in SO(3), or "best-fit" for the nearest rotation
     to the volume mean of the gradient.  ``offset`` is a vector, None for
     zero, or "mean" for the L^2-optimal offset given the rotation.  The
-    field's components and partials are evaluated once; ``grid`` must be a
-    grid on ``domain``.
+    field's components and partials are evaluated once, on ``grid``; the
+    thickness h of the product term is that of ``grid.domain``.
 
     The nodal work runs in theta slabs (``_slabs``).  What a whole-grid
     reduction reads goes into a whole-grid array: the residual y - R x, the
@@ -274,13 +273,14 @@ def interpolation_sides(
     dist_norms = lp_norms(_joined(dist), grid, p)
     del dist
     g_norms = lp_norms(_joined(g_mag), grid, p)
+    h = grid.domain.h
     scale = grid.volume ** (2.0 / p)
     reports = []
     for r_s, b, g_norm, field_norm, dist_norm, m in zip(rotations, offsets, g_norms, field_norms, dist_norms, metas):
         lhs = g_norm**2
-        prod = field_norm * dist_norm / domain.h
+        prod = field_norm * dist_norm / h
         reports.append(_finalize(
-            lhs, prod, field_norm**2, dist_norm**2, p, domain.h, r_s, tuple(b), scale,
+            lhs, prod, field_norm**2, dist_norm**2, p, h, r_s, tuple(b), scale,
             {"variant": "interpolation", **(m or {})},
         ))
     return reports if stacked else reports[0]
@@ -288,15 +288,16 @@ def interpolation_sides(
 
 def korn_linear_sides(
     u: FrameField,
-    domain: ThinDomain,
     grid: QuadratureGrid,
     p: float,
     meta: dict | list | None = None,
 ) -> InequalityReport | list[InequalityReport]:
     """Linearized sides: gradient vs field norm and linear strain.
 
-    The norms of the field, its strain and its gradient run in theta slabs
-    (``_slab_norms``).  A stacked field gives one report per seed.
+    The linear strain is the symmetric part of the frame gradient.  The norms
+    of the field, its strain and its gradient run in theta slabs
+    (``_slab_norms``); h is that of ``grid.domain``.  A stacked field gives
+    one report per seed.
     """
     if u.kind != "displacement":
         raise ValueError("the linearized sides need a displacement field")
@@ -304,13 +305,14 @@ def korn_linear_sides(
         u, grid, p, lambda comp, g: comp, lambda comp, g: 0.5 * (g + np.swapaxes(g, -1, -2)), lambda comp, g: g
     )
     metas = _metas(meta, len(g_norms))
+    h = grid.domain.h
     scale = grid.volume ** (2.0 / p)
     reports = []
     for field_norm, strain_norm, g_norm, m in zip(field_norms, strain_norms, g_norms, metas):
         lhs = g_norm**2
-        prod = field_norm * strain_norm / domain.h
+        prod = field_norm * strain_norm / h
         reports.append(_finalize(
-            lhs, prod, field_norm**2, strain_norm**2, p, domain.h, None, None, scale,
+            lhs, prod, field_norm**2, strain_norm**2, p, h, None, None, scale,
             {"variant": "korn", **(m or {})},
         ))
     return reports if stacked else reports[0]
@@ -331,19 +333,13 @@ class BalanceForm:
     field_norm: float
     dist_norm: float
 
-    @property
-    def total(self) -> float:
-        return self.term_field + self.term_dist
 
-
-def balance_form(
-    v: FrameField, domain: ThinDomain, grid: QuadratureGrid, p: float, s: float
-) -> BalanceForm:
-    """Evaluate the balance terms of a displacement at exponent s in [0, 2]."""
+def balance_form(v: FrameField, grid: QuadratureGrid, p: float, s: float) -> BalanceForm:
+    """Evaluate the balance terms of a displacement at exponent s in [0, 2]; h is that of ``grid.domain``."""
     if not 0.0 <= s <= 2.0:
         raise ValueError("balance exponent s must lie in [0, 2]")
     _, (dist_norm,), (field_norm,) = _slab_norms(v, grid, p, lambda c, g: dist_SO3(g + np.eye(3)), lambda c, g: c)
-    h = domain.h
+    h = grid.domain.h
     return BalanceForm(
         s=float(s),
         term_field=field_norm**2 / h**s,

@@ -373,8 +373,8 @@ class ShellDomainTrace:
     per_patch: list = dc_field(default_factory=list)
 
 
-def shell_to_domain_trace(v: FrameField, domain: ThinDomain, grid: QuadratureGrid, p: float) -> ShellDomainTrace:
-    """Trace the comparison between the full domain and its constant-thickness core.
+def shell_to_domain_trace(v: FrameField, grid: QuadratureGrid, p: float) -> ShellDomainTrace:
+    """Trace the comparison between the full domain ``grid.domain`` and its constant-thickness core.
 
     The core shell has half-thickness a = min(g1, g2) over the patch, so it
     is contained in the domain whenever the profile is admissible.  Patches
@@ -385,6 +385,7 @@ def shell_to_domain_trace(v: FrameField, domain: ThinDomain, grid: QuadratureGri
     grad_domain / (dist_domain + grad_core) is the bounded empirical
     constant of the passage.
     """
+    domain = grid.domain
     surface = domain.surface
     th_s, zz_s = surface.interior_samples(65)
     g1 = np.asarray(domain.profile.g1(th_s, zz_s), dtype=float)

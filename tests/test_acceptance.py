@@ -123,7 +123,7 @@ def test_criterion_3_rigid_motion_annihilation():
         q = mo.random_rotation(rng)
         c = rng.normal(size=3)
         rep = ineq.interpolation_sides(
-            fl.rigid_deformation(surface, q, c), q, c, domain, grid, p
+            fl.rigid_deformation(surface, q, c), q, c, grid, p
         )
         worst = max(worst, rep.lhs, rep.rhs_product, rep.rhs_field_sq, rep.rhs_dist_sq)
         assert rep.flag == "degenerate-exact"
@@ -214,7 +214,7 @@ def test_criterion_7_localization_constants():
         domb = geo.ThinDomain(surface, geo.bump_profile(h, surface))
         gridb = nm.build_grid(domb, (4, 64, 64))
         u = fl.random_smooth_field(1, 0.1 * h, 4, surface)
-        passage.append(loc.shell_to_domain_trace(u, domb, gridb, 2.0).ratio)
+        passage.append(loc.shell_to_domain_trace(u, gridb, 2.0).ratio)
 
     rat_p = max(poincare) / min(poincare)
     rat_r = max(rot_lb) / min(rot_lb)

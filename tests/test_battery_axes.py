@@ -85,10 +85,10 @@ def _fields(grid, tmp_path):
         "random stacked": fl.random_smooth_field([3, 0, 11], 0.1, 4, s),
         "random stacked modes 9": fl.random_smooth_field([3, 0, 11], 0.1, 9, s),
         "x + eps random": fl.displacement_to_deformation(s, fl.random_smooth_field(2, 0.1, 4, s), H),
-        "ansatz": fl.make_field("ansatz", s, H),
-        "rigid": fl.make_field("rigid:1", s, H),
-        "identity": fl.make_field("identity", s, H),
-        "user": fl.make_field(f"user:{samples}", s, H, domain=domain),
+        "ansatz": fl.make_field("ansatz", domain),
+        "rigid": fl.make_field("rigid:1", domain),
+        "identity": fl.make_field("identity", domain),
+        "user": fl.make_field(f"user:{samples}", domain),
     }
 
 

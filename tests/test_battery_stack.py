@@ -76,11 +76,11 @@ def _check_stack(grid, seeds, rotation, offset, p, modes):
         return fl.displacement_to_deformation(s, fl.random_smooth_field(seed, 0.1, modes, s), domain.h)
 
     stacked = ineq.interpolation_sides(
-        deformation(seeds), rot, offset, domain, grid, p, meta=[{"field": f"random:{seed}"} for seed in seeds]
+        deformation(seeds), rot, offset, grid, p, meta=[{"field": f"random:{seed}"} for seed in seeds]
     )
     assert len(stacked) == len(seeds)
     for seed, rep in zip(seeds, stacked):
-        lone = ineq.interpolation_sides(deformation(seed), rot, offset, domain, grid, p, meta={"field": f"random:{seed}"})
+        lone = ineq.interpolation_sides(deformation(seed), rot, offset, grid, p, meta={"field": f"random:{seed}"})
         assert _bits(rep) == _bits(lone)
         assert repr(_sides_of(rep)) == repr(_lone_sides(deformation(seed), rot, offset, grid, p))
 
@@ -120,12 +120,12 @@ def test_benchmark_battery_shape_keeps_every_bit():
 @pytest.mark.parametrize("modes", [4, 9])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_stacked_korn_sides_equal_each_single_seed(grid, p, modes):
-    s, domain = grid.domain.surface, grid.domain
-    stacked = ineq.korn_linear_sides(fl.random_smooth_field(SEEDS, 0.1, modes, s), domain, grid, p)
+    s = grid.domain.surface
+    stacked = ineq.korn_linear_sides(fl.random_smooth_field(SEEDS, 0.1, modes, s), grid, p)
     assert len(stacked) == len(SEEDS)
     for seed, rep in zip(SEEDS, stacked):
         u = fl.random_smooth_field(seed, 0.1, modes, s)
-        assert _bits(rep) == _bits(ineq.korn_linear_sides(u, domain, grid, p))
+        assert _bits(rep) == _bits(ineq.korn_linear_sides(u, grid, p))
         # the reference: the three norms of the lone seed's own arrays
         comp, par = fl.on_grid(u, grid)
         g = fl.gradient_from_partials(comp, par, grid.t, grid.nodes.coeffs)
@@ -170,7 +170,7 @@ def test_stacked_means_keep_each_fields_bits(case):
 def test_a_stack_needs_one_meta_per_seed(grid):
     u = fl.random_smooth_field(SEEDS, 0.1, 4, grid.domain.surface)
     with pytest.raises(ValueError, match="meta lists 2 dicts for 3 fields"):
-        ineq.korn_linear_sides(u, grid.domain, grid, 2.0, meta=[{}, {}])
+        ineq.korn_linear_sides(u, grid, 2.0, meta=[{}, {}])
     with pytest.raises(ValueError, match="at least one seed"):
         fl.random_smooth_field([], 0.1, 4, grid.domain.surface)
 

@@ -55,6 +55,8 @@ def test_sweep_keys_are_the_sweep_config_fields(tmp_path, capsys):
     [
         (["--field", "vortex"], "'vortex'"),
         (["--field", "random:x"], "'random:x'"),
+        (["--field", "random:"], "'random:'"),  # a seed has at least one digit
+        (["--field", "rigid:"], "'rigid:'"),
         (["--field", "random", "--seeds", "0"], "seeds"),
     ],
 )
@@ -170,10 +172,34 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys):
+    # a missing file, malformed JSON and a JSON list each exit 2 before --out is made
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    for content, named in ((None, "config file not found"), ("{", "malformed config file"),
+                           ("[1, 2]", "must hold a flat JSON object")):
+        if content is not None:
+            cfg.write_text(content)
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_korn_sweep_runs(tmp_path):
     out = tmp_path / "korn"
     assert run(["korn-sweep", *FAST_SWEEP, "--out", str(out)]) == 0
     assert "korn-sharpness" in (out / "verdict.txt").read_text()
+
+
+def test_korn_sweep_of_a_zero_field_has_no_strain(tmp_path):
+    # every strain term vanishes, so the slope is not fitted and the run passes
+    out = tmp_path / "korn"
+    argv = ["korn-sweep", "--field", "random:1", "--amplitude", "0", "--num-h", "4", "--nt", "3", "--ntheta", "12",
+            "--nz", "10", "--out", str(out)]
+    assert run(argv) == 0
+    assert (out / "verdict.txt").read_text().startswith("no-strain: PASS (")
+    assert (out / "verdict.txt").read_text().count("\n") == 1
+    assert json.loads((out / "fit.json").read_text())["alpha_hat"] is None
 
 
 def test_trace_writes_artifacts(tmp_path):
@@ -323,6 +349,12 @@ def test_overflowing_sweep_fails_cleanly(tmp_path, command, field):
         (["doubling", "--r-min", "0.2", "--r-max", "0.1"], "--r-min must not exceed --r-max"),
         (["doubling", "--num-r", "1"], "--num-r 1 evaluates --r-min alone"),
         (["doubling", "--num-r", "1", "--r-min", "0.01", "--r-max", "0.02"], "--num-r 1 evaluates --r-min alone"),
+        (["sweep", "--h-min", "0.1", "--h-max", "0.01"], "need 0 < h_min < h_max"),
+        (["sweep", "--threads", "0"], "threads must be >= 1"),
+        (["trace", "--h", "0.6"], "h=0.6 must stay below h0=0.5"),
+        (["trace", "--field", "identity"], "trace needs a displacement field"),
+        (["trace", "--gamma", "2"], "gamma must lie in [0, 1]"),
+        (["dist-so3"], "dist-so3 currently only supports --selftest"),
     ],
 )
 def test_bad_flags_exit_2_before_any_file(tmp_path, capsys, argv, named):

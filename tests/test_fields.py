@@ -186,7 +186,12 @@ def test_frobenius_invariant_under_chart_relabelling():
     ).max() < 1e-10
 
 
-# -- linear strain -----------------------------------------------------------------
+# -- linear strain: the symmetric part of the frame gradient -----------------------
+
+
+def _strain(u, surface, t, theta, z):
+    g = fl.frame_gradient(u, surface, t, theta, z)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def test_linear_strain_annihilates_skew_maps(surface):
@@ -197,7 +202,7 @@ def test_linear_strain_annihilates_skew_maps(surface):
     skew = fl.transform_rigid(ident, surface, w, np.zeros(3))
     u = fl.FrameField(skew.components, skew.partials, kind="displacement")
     tt, th, zz = _interior_points(surface, 100, rng, 0.05)
-    e = fl.linear_strain(u, surface, tt, th, zz)
+    e = _strain(u, surface, tt, th, zz)
     assert np.abs(e).max() < 1e-10
 
 
@@ -206,13 +211,8 @@ def test_linear_strain_of_identity_displacement(surface):
     u = fl.FrameField(ident.components, ident.partials, kind="displacement")
     rng = np.random.default_rng(9)
     tt, th, zz = _interior_points(surface, 50, rng, 0.05)
-    e = fl.linear_strain(u, surface, tt, th, zz)
+    e = _strain(u, surface, tt, th, zz)
     assert np.abs(e - np.eye(3)).max() < 1e-12
-
-
-def test_linear_strain_rejects_deformations(surface):
-    with pytest.raises(ValueError):
-        fl.linear_strain(fl.identity_deformation(surface), surface, 0.0, 0.5, 0.5)
 
 
 # -- random fields -----------------------------------------------------------------
@@ -394,13 +394,13 @@ def test_ansatz_support_errors():
 
 
 def test_make_field_registry():
-    s = geo.make_surface("sphere")
-    assert fl.make_field("identity", s, 0.01).kind == "deformation"
-    assert fl.make_field("rigid:3", s, 0.01).kind == "deformation"
-    assert fl.make_field("ansatz", s, 0.01).kind == "displacement"
-    assert fl.make_field("random:2", s, 0.01).kind == "displacement"
+    dom = geo.ThinDomain(geo.make_surface("sphere"), geo.shell_profile(0.01))
+    assert fl.make_field("identity", dom).kind == "deformation"
+    assert fl.make_field("rigid:3", dom).kind == "deformation"
+    assert fl.make_field("ansatz", dom).kind == "displacement"
+    assert fl.make_field("random:2", dom).kind == "displacement"
     with pytest.raises(ValueError, match="unknown field"):
-        fl.make_field("vortex", s, 0.01)
+        fl.make_field("vortex", dom)
 
 
 # -- sampled user fields ---------------------------------------------------------
@@ -439,8 +439,3 @@ def test_sampled_displacement_rejects_ragged_samples(tmp_path):
     with pytest.raises(ValueError):
         fl.sampled_displacement(path, dom)
 
-
-def test_make_field_user_requires_domain():
-    s = geo.make_surface("sphere")
-    with pytest.raises(ValueError, match="thin domain"):
-        fl.make_field("user:somewhere.csv", s, 0.01)

@@ -249,7 +249,7 @@ def test_shell_to_domain_constant_profile_trivial():
     dom = geo.ThinDomain(s, geo.shell_profile(1e-2))
     grid = nm.build_grid(dom, (4, 48, 48))
     u = fl.random_smooth_field(1, 1e-3, 4, s)
-    tr = loc.shell_to_domain_trace(u, dom, grid, 2.0)
+    tr = loc.shell_to_domain_trace(u, grid, 2.0)
     assert tr.trivial
     assert tr.grad_core == pytest.approx(tr.grad_domain, rel=1e-9)
 
@@ -259,7 +259,7 @@ def test_shell_to_domain_zero_field():
     dom = geo.ThinDomain(s, geo.bump_profile(1e-2, s))
     grid = nm.build_grid(dom, (4, 48, 48))
     zero = fl.random_smooth_field(0, 0.0, 2, s)
-    tr = loc.shell_to_domain_trace(zero, dom, grid, 2.0)
+    tr = loc.shell_to_domain_trace(zero, grid, 2.0)
     assert tr.grad_domain == pytest.approx(0.0, abs=1e-12)
     assert tr.grad_core == pytest.approx(0.0, abs=1e-12)
 
@@ -271,7 +271,7 @@ def test_shell_to_domain_bounded_over_h():
         dom = geo.ThinDomain(s, geo.bump_profile(h, s))
         grid = nm.build_grid(dom, (4, 64, 64))
         u = fl.random_smooth_field(1, 0.1 * h, 4, s)
-        tr = loc.shell_to_domain_trace(u, dom, grid, 2.0)
+        tr = loc.shell_to_domain_trace(u, grid, 2.0)
         assert not tr.trivial
         assert tr.core_half_thickness == pytest.approx(h, rel=1e-6)
         ratios.append(tr.ratio)
@@ -286,7 +286,7 @@ def test_shell_to_domain_containment_guard():
     u = fl.random_smooth_field(1, 1e-3, 4, s)
     # corrupting the recorded minimum must trip the containment check;
     # exercised through the internal guard by shrinking the profile after the fact
-    tr = loc.shell_to_domain_trace(u, dom, grid, 2.0)
+    tr = loc.shell_to_domain_trace(u, grid, 2.0)
     assert tr.core_half_thickness <= 1e-2 * (1 + 1e-9)
 
 
@@ -298,7 +298,7 @@ def test_shell_to_domain_per_patch_residual_bounds():
     dom = geo.ThinDomain(s, geo.bump_profile(h, s))
     grid = nm.build_grid(dom, (4, 64, 64))
     u = fl.random_smooth_field(3, 0.1 * h, 4, s)
-    tr = loc.shell_to_domain_trace(u, dom, grid, 2.0)
+    tr = loc.shell_to_domain_trace(u, grid, 2.0)
     for row in tr.per_patch:
         assert row["resid_core"] <= row["resid_domain"] * 50 + 1e-12
         if row["dist_domain"] > 1e-12:

@@ -163,7 +163,7 @@ def test_patch_trace_records_are_plain_and_unchanged(name, p, amplitude):
 @pytest.mark.parametrize("name", SURFACES)
 def test_shell_to_domain_per_patch_is_plain_and_unchanged(name, p, amplitude):
     v, domain, _, grid = _setup(name, amplitude)
-    sdt = loc.shell_to_domain_trace(v, domain, grid, p)
+    sdt = loc.shell_to_domain_trace(v, grid, p)
     ref = _per_patch_reference(v, domain, nm.build_grid(domain, grid.resolution), p)
     assert len(sdt.per_patch) == len(ref) == sdt.count
     for rec, expected in zip(sdt.per_patch, ref):

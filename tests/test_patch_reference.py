@@ -73,7 +73,7 @@ def _patch_values(name, h, p, v, dec, grid, domain):
 
 
 def _passage_values(name, h, p, v, dec, grid, domain):
-    return _reprs(loc.shell_to_domain_trace(v, domain, grid, p).per_patch)
+    return _reprs(loc.shell_to_domain_trace(v, grid, p).per_patch)
 
 
 def _csv_rows(out_dir, argv):

@@ -67,7 +67,7 @@ def test_balance_form_in_slabs_is_bit_identical(monkeypatch, budget):
         s = geo.make_surface(name)
         for prof in trace_ref.PROFILES:
             grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(prof, 2e-2, s)), (3, 12, 10))
-            bal = ineq.balance_form(fl.random_smooth_field(6, 0.2, 4, s), grid.domain, grid, 2.0, 0.7)
+            bal = ineq.balance_form(fl.random_smooth_field(6, 0.2, 4, s), grid, 2.0, 0.7)
             values = {k: getattr(bal, k) for k in ("field_norm", "dist_norm", "term_field", "term_dist")}
             assert trace_ref._reprs(values) == trace_ref.REFERENCE[f"balance_form {name} {prof}"]
     assert seen and max(seen) <= _most_rows(budget, (3, 12, 10))
@@ -186,7 +186,7 @@ def test_a_failure_in_slabs_is_the_failure_of_one_pass(monkeypatch, first_rows_p
         monkeypatch.setattr(ineq, "SLAB_NODES", budget)
         y, grid = _poisoned(1e-2, first_rows_par, last_rows_comp)
         with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
-            ineq.interpolation_sides(y, rot, "mean", grid.domain, grid, 2.0)
+            ineq.interpolation_sides(y, rot, "mean", grid, 2.0)
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1]
     if rotation == "identity":
@@ -201,10 +201,10 @@ def test_one_report_on_the_doubled_grid_stays_under_128_bytes_per_node():
     domain = geo.ThinDomain(s, geo.make_profile("shell", h, s))
     grid = nm.build_grid(domain, (16, nm.adaptive_theta_resolution(domain, base=128), 128))
     assert grid.resolution == (16, 506, 128)
-    y = fl.displacement_to_deformation(s, fl.make_field("ansatz", s, h), h)
+    y = fl.displacement_to_deformation(s, fl.make_field("ansatz", domain), h)
     tracemalloc.start()
     try:
-        rep = ineq.interpolation_sides(y, np.eye(3), "mean", domain, grid, 2.0)
+        rep = ineq.interpolation_sides(y, np.eye(3), "mean", grid, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

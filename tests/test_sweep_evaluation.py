@@ -4,6 +4,9 @@
 as ``repr`` strings, recorded with the sweep code that built one grid per
 battery seed and evaluated every field three times per report.  Sharing the
 grid and its cached geometry must not move a single bit.
+
+Regenerate (only when a change of the numbers is intended and documented)
+with ``PYTHONPATH=src python tests/test_sweep_evaluation.py``.
 """
 
 import dataclasses
@@ -20,8 +23,12 @@ from shellrig import geometry as geo
 from shellrig import inequality as ineq
 from shellrig import norms as nm
 
-REFERENCE = json.loads((Path(__file__).parent / "data" / "sweep_rows_reference.json").read_text())
+PATH = Path(__file__).parent / "data" / "sweep_rows_reference.json"
+REFERENCE = json.loads(PATH.read_text())
 BASE = dict(num_h=4, h_min=1e-2, h_max=1e-1, nt=3, ntheta=12, nz=10, adaptive_theta=False, seeds=3)
+FIELDS = ("identity", "rigid:1", "random:3", "ansatz", "random")
+KEYS = {f"sweep {f} {r} {o}" for f in FIELDS for r in ("identity", "best-fit") for o in ("mean", "zero")}
+KEYS |= {"korn ansatz", "korn random"}
 
 
 def _config_of(key: str):
@@ -32,17 +39,18 @@ def _config_of(key: str):
     return ex.run_sweep, ex.SweepConfig(field=field, rotation_mode=rotation, offset_mode=offset, **BASE)
 
 
+def _rows(key: str) -> list:
+    sweep, config = _config_of(key)
+    return [{k: repr(v) for k, v in row.items()} for row in sweep(config).rows]
+
+
 def test_reference_covers_the_matrix():
-    fields = ("identity", "rigid:1", "random:3", "ansatz", "random")
-    keys = {f"sweep {f} {r} {o}" for f in fields for r in ("identity", "best-fit") for o in ("mean", "zero")}
-    assert set(REFERENCE) == keys | {"korn ansatz", "korn random"}
+    assert set(REFERENCE) == KEYS
 
 
 @pytest.mark.parametrize("key", sorted(REFERENCE))
 def test_rows_are_bit_identical(key):
-    sweep, config = _config_of(key)
-    rows = sweep(config).rows
-    assert [{k: repr(v) for k, v in row.items()} for row in rows] == REFERENCE[key]
+    assert _rows(key) == REFERENCE[key]
 
 
 @pytest.mark.parametrize(
@@ -115,3 +123,7 @@ def test_adaptive_ansatz_sweep_builds_one_plane_per_h_and_keeps_one_alive(monkey
     # of the h before is gone by then
     assert len({row["grid_ntheta"] for row in res.rows}) == 4
     assert alive_at_build == [1, 1, 1, 1]
+
+
+if __name__ == "__main__":
+    PATH.write_text(json.dumps({key: _rows(key) for key in KEYS}, indent=1, sort_keys=True))

@@ -6,6 +6,9 @@ of three small traces and the values of ``balance_form`` and
 with the code that evaluated these on the full 3-d mesh (frame on every
 node, field components twice per patch trace).  Evaluating them on the
 (theta, z) nodes of the grid's cache must not move a single bit.
+
+Regenerate (only when a change of the numbers is intended and documented)
+with ``PYTHONPATH=src python tests/test_trace_evaluation.py``.
 """
 
 import dataclasses
@@ -26,7 +29,8 @@ from shellrig import localization as loc
 from shellrig import matrixops as mo
 from shellrig import norms as nm
 
-REFERENCE = json.loads((Path(__file__).parent / "data" / "trace_reference.json").read_text())
+PATH = Path(__file__).parent / "data" / "trace_reference.json"
+REFERENCE = json.loads(PATH.read_text())
 TRACE = ["trace", "--surface", "sphere", "--h", "3e-2", "--amplitude", "1e-3", "--nt", "2", "--ntheta", "16", "--nz", "16"]
 TRACES = {
     "trace shell random:1": ["--profile", "shell", "--field", "random:1"],
@@ -56,33 +60,46 @@ def test_reference_covers_the_matrix():
     assert set(REFERENCE) == keys
 
 
+def _trace_values(key: str, out: Path) -> dict:
+    """trace.json of one of TRACES, written into the empty directory ``out``."""
+    assert cli.main([*TRACE, *TRACES[key], "--out", str(out)]) == 0
+    return _reprs(json.loads((out / "trace.json").read_text()))
+
+
+def _bound_values(name: str, prof: str) -> dict:
+    """The reference entries of ``balance_form`` and ``rotation_lower_bound_check`` on one surface and profile."""
+    s = geo.make_surface(name)
+    h = 2e-2
+    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(prof, h, s)), (3, 12, 10))
+    bal = ineq.balance_form(fl.random_smooth_field(6, 0.2, 4, s), grid, 2.0, 0.7)
+    q = mo.random_rotation(np.random.default_rng(3))
+    t0, t1, z0, z1 = s.domain
+    rect = (t0, 0.5 * (t0 + t1), z0, z1)
+    worst = loc.rotation_lower_bound_check(q, None, rect, grid, 2.0, h**0.5)
+    fixed = loc.rotation_lower_bound_check(q, np.array([0.1, -0.2, 0.3]), rect, grid, 3.0, 1.0)
+    return {
+        f"balance_form {name} {prof}": _reprs(
+            {k: getattr(bal, k) for k in ("field_norm", "dist_norm", "term_field", "term_dist")}
+        ),
+        f"rotation_lower_bound_check {name} {prof}": _reprs(
+            {k: worst[k] for k in ("lhs", "rhs", "constant", "offset", "volume")}
+        ),
+        f"rotation_lower_bound_check {name} {prof} fixed offset": _reprs(
+            {k: fixed[k] for k in ("lhs", "rhs", "constant", "volume")}
+        ),
+    }
+
+
 @pytest.mark.parametrize("key", sorted(TRACES))
 def test_trace_json_is_bit_identical(tmp_path, key):
-    assert cli.main([*TRACE, *TRACES[key], "--out", str(tmp_path)]) == 0
-    assert _reprs(json.loads((tmp_path / "trace.json").read_text())) == REFERENCE[key]
+    assert _trace_values(key, tmp_path) == REFERENCE[key]
 
 
 @pytest.mark.parametrize("name", SURFACES)
 @pytest.mark.parametrize("prof", PROFILES)
 def test_balance_and_rotation_bound_are_bit_identical(name, prof):
-    s = geo.make_surface(name)
-    h = 2e-2
-    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(prof, h, s)), (3, 12, 10))
-    bal = ineq.balance_form(fl.random_smooth_field(6, 0.2, 4, s), grid.domain, grid, 2.0, 0.7)
-    assert _reprs({k: getattr(bal, k) for k in ("field_norm", "dist_norm", "term_field", "term_dist")}) == (
-        REFERENCE[f"balance_form {name} {prof}"]
-    )
-    q = mo.random_rotation(np.random.default_rng(3))
-    t0, t1, z0, z1 = s.domain
-    rect = (t0, 0.5 * (t0 + t1), z0, z1)
-    rec = loc.rotation_lower_bound_check(q, None, rect, grid, 2.0, h**0.5)
-    assert _reprs({k: rec[k] for k in ("lhs", "rhs", "constant", "offset", "volume")}) == (
-        REFERENCE[f"rotation_lower_bound_check {name} {prof}"]
-    )
-    rec = loc.rotation_lower_bound_check(q, np.array([0.1, -0.2, 0.3]), rect, grid, 3.0, 1.0)
-    assert _reprs({k: rec[k] for k in ("lhs", "rhs", "constant", "volume")}) == (
-        REFERENCE[f"rotation_lower_bound_check {name} {prof} fixed offset"]
-    )
+    for key, values in _bound_values(name, prof).items():
+        assert values == REFERENCE[key], key
 
 
 def test_bump_trace_evaluates_each_grid_once(monkeypatch, tmp_path):
@@ -159,7 +176,7 @@ def test_nodal_cache_follows_the_field():
     b = fl.random_smooth_field(2, 1e-3, 4, s)
     calls = {
         "patch": lambda v, g: loc.patch_trace(v, dec, g, 2.0),
-        "shell": lambda v, g: loc.shell_to_domain_trace(v, domain, g, 2.0),
+        "shell": lambda v, g: loc.shell_to_domain_trace(v, g, 2.0),
     }
     # A, then B, then A on one grid, each call checked against a fresh grid
     for kind, v in (("patch", a), ("shell", a), ("patch", b), ("shell", a), ("shell", b), ("patch", a)):
@@ -182,3 +199,16 @@ def test_nodal_cache_dies_with_the_trace(monkeypatch, tmp_path):
     gc.collect()
     assert len(held) == 3 * 5  # patch_trace, then the passage's domain and core grids
     assert [r() for r in held] == [None] * len(held)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    ref = {}
+    for key in TRACES:
+        with tempfile.TemporaryDirectory() as tmp:
+            ref[key] = _trace_values(key, Path(tmp))
+    for name in SURFACES:
+        for prof in PROFILES:
+            ref.update(_bound_values(name, prof))
+    PATH.write_text(json.dumps(ref, indent=1, sort_keys=True) + "\n")
