@@ -27,7 +27,8 @@ import tempfile
 from pathlib import Path
 
 # the battery, the sharpness sweeps, the three audit traces, best-fit and zero-offset
-# sweeps, the Korn sweeps, p = 3, a rigid field and a run that fails (exit 1)
+# sweeps, the Korn sweeps, p = 3, a rigid field, a run that fails (exit 1), and the
+# gradient check and doubling runs, which build thin domains and surfaces outside a sweep
 ARGVS = (
     "sweep --surface sphere --field random --seeds 20 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 8 --nz 8",
     "sweep --surface sphere --field ansatz --p 2 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 32 --nz 16",
@@ -48,6 +49,8 @@ ARGVS = (
     "sweep --surface cylinder --field ansatz --p 3 --eps-rule h2 --num-h 5 --nt 6 --ntheta 64 --nz 32",
     "sweep --surface plate --field rigid:2 --num-h 4 --nt 6 --ntheta 48 --nz 48",
     "sweep --field random:1 --amplitude 1e300 --num-h 4 --nt 6 --ntheta 48 --nz 48",
+    "check-gradient --points 40 --seed 3",
+    "doubling --surface pseudosphere --centers 4 --num-r 3 --budget 40000 --seed 2",
 )
 
 

@@ -186,9 +186,7 @@ def _sweep_config_from(args) -> tuple[ex.SweepConfig, dict]:
             raise UsageError(f"unknown config key {key!r} (known: {sorted(_SWEEP_DEFAULTS)})")
     explicit = {key: val for key, val in vars(args).items() if key in _SWEEP_DEFAULTS and val is not None}
     merged = {**_SWEEP_DEFAULTS, **file_vals, **explicit}
-    cfg = ex.SweepConfig(surface_params=_surface_params(args), **merged)
-    cfg.validate()
-    return cfg, merged
+    return ex.SweepConfig(surface_params=_surface_params(args), **merged), merged
 
 
 def _cmd_sweep(args) -> int:

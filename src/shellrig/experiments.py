@@ -271,13 +271,16 @@ def _map_h(config: SweepConfig, work, h_values):
     return results
 
 
-def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
-    """Rows and reports of a sweep, one per h.
+def _sweep(config: SweepConfig, surface: geo.ParamSurface, report, epsilon) -> tuple[list, list]:
+    """Rows and reports of a sweep of ``surface``, the one ``config.validate()`` built, one per h.
 
     For each h one thin domain and one grid are built and shared by every
     seed of a battery; the grid, with its cache, is dropped when its h is
     done.  A battery keeps the largest finite ratio; non-finite reports are
-    skipped, and an h where every seed is non-finite fails.
+    skipped.  An h where every seed is non-finite fails, unless every seed's
+    report is flagged "degenerate-exact" (a zero field, whose sides are all
+    0): the lowest seed's report is kept then, as a one-seed sweep of it
+    would report it.
 
     Where the resolution does not follow h (``_fixed_resolution``: all but
     the adaptive ansatz sweep), the plane geometry (``norms.plane_nodes``)
@@ -295,7 +298,6 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
     Only the ansatz field reads the ansatz profile, so no other sweep builds
     one.
     """
-    surface = config.validate()
     battery = config.field == "random"
     profile = fl.default_ansatz_profile(surface) if config.field == "ansatz" else None
     fixed = _fixed_resolution(config)
@@ -324,6 +326,8 @@ def _sweep(config: SweepConfig, report, epsilon) -> tuple[list, list]:
                 return h, eps, report(config, grid, eps, [config.field], field), grid.resolution
             reps = [rep for specs, field in chunks for rep in report(config, grid, eps, specs, field)]
         finite = [rep for rep in reps if math.isfinite(rep.ratio)]
+        if not finite and all(rep.flag == "degenerate-exact" for rep in reps):
+            finite = reps[:1]
         if not finite:
             seeds = ", ".join(f"random:{seed}" for seed in range(config.seeds))
             raise SweepError(f"no battery seed gave a finite ratio (seeds {seeds})")
@@ -347,10 +351,13 @@ def _fit_ratio(rows) -> ScalingFit:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Interpolation-inequality sweep over the configured thickness values.
 
-    Any per-h failure aborts the sweep with the failing h identified; rows
-    computed before the failure are attached to the raised error.
+    An invalid config raises ValueError (``SweepConfig.validate``) before
+    anything is computed; this is the one validation of a run, the CLI's
+    included.  Any per-h failure aborts the sweep with the failing h
+    identified; rows computed before the failure are attached to the raised
+    error.
     """
-    rows, reports = _sweep(config, _single_report, config.epsilon)
+    rows, reports = _sweep(config, config.validate(), _single_report, config.epsilon)
     verdicts = {}
     degenerate = all(rep.flag == "degenerate-exact" for rep in reports)
     if degenerate:
@@ -380,12 +387,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def korn_sweep(config: SweepConfig) -> SweepResult:
-    """Sweep of the linearized sides; fields must be displacements."""
+    """Sweep of the linearized sides; fields must be displacements.  A config is validated as by ``run_sweep``."""
+    surface = config.validate()
     if fl.field_kind(config.field) != "displacement":
         raise ValueError(
             f"the linearized sweep needs a displacement field (ansatz or random), not {config.field!r}"
         )
-    rows, reports = _sweep(config, _korn_report, lambda h: 0.0)
+    rows, reports = _sweep(config, surface, _korn_report, lambda h: 0.0)
 
     verdicts = {}
     skew_like = all(rep.rhs_dist_sq <= 1e-24 * max(rep.lhs, 1.0) for rep in reports)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -171,6 +171,16 @@ class ParamSurface:
     |dr/dz|; ``kappa_theta``/``kappa_z`` the signed principal curvatures; the
     ``da_*`` maps are the metric-coefficient partials entering the frame
     gradient and the frame derivatives.
+
+    The maps are pure, so what depends on the surface alone is computed on
+    first use and kept in ``memo`` for the surface's lifetime: the interior
+    samples and the maps on them (``on_samples``) per sample count,
+    ``h0()``, ``metric_extents()`` and the difference stencil of
+    ``ThicknessProfile.validate_on``.  The sweep's thin domains, one per h,
+    share them.  Kept arrays are read-only, and the samples and the stencil
+    are broadcast views of their 1-d node sets, so a memo holds tens of KB.
+    ``memo`` is no init field, so ``dataclasses.replace`` gives a surface
+    with maps of its own a fresh one.
     """
 
     name: str
@@ -187,6 +197,14 @@ class ParamSurface:
     da_theta_dz: Callable
     da_z_dtheta: Callable
     da_z_dz: Callable
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def _memo(self, key, build: Callable):
+        """``memo[key]``, set to ``build()`` on first use."""
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = build()
+        return hit
 
     # -- chart bookkeeping --------------------------------------------------
 
@@ -211,11 +229,29 @@ class ParamSurface:
             raise DomainError(f"z={off!r} outside [{z0}, {z1}]")
 
     def interior_samples(self, n: int = 33) -> tuple[Array, Array]:
-        """Tensor sample of strictly interior chart points (cell midpoints)."""
-        t0, t1, z0, z1 = self.domain
-        th = t0 + (t1 - t0) * (np.arange(n) + 0.5) / n
-        zz = z0 + (z1 - z0) * (np.arange(n) + 0.5) / n
-        return np.meshgrid(th, zz, indexing="ij")
+        """Tensor sample of strictly interior chart points (cell midpoints), as read-only (n, n) arrays.
+
+        They are the values of ``np.meshgrid(th, zz, indexing="ij")``, broadcast from the 1-d
+        midpoints ``th`` and ``zz`` (``[:, 0]`` and ``[0]``) instead of copied.
+        """
+
+        def build():
+            t0, t1, z0, z1 = self.domain
+            th = t0 + (t1 - t0) * (np.arange(n) + 0.5) / n
+            zz = z0 + (z1 - z0) * (np.arange(n) + 0.5) / n
+            return np.broadcast_to(th[:, None], (n, n)), np.broadcast_to(zz[None, :], (n, n))
+
+        return self._memo(("samples", n), build)
+
+    def on_samples(self, name: str, n: int) -> Array:
+        """The map ``name`` (a coefficient, such as "kappa_z") on ``interior_samples(n)``, read-only."""
+
+        def build():
+            values = _arr(getattr(self, name)(*self.interior_samples(n)))
+            values.flags.writeable = False
+            return values
+
+        return self._memo((name, n), build)
 
     # -- frames ---------------------------------------------------------------
 
@@ -265,17 +301,25 @@ class ParamSurface:
 
     def h0(self) -> float:
         """Chart-nondegeneracy thickness bound, 0.5 / max |kappa| (inf if flat)."""
-        k = self.max_abs_curvature()
-        return math.inf if k == 0.0 else 0.5 / k
+
+        def build():
+            k = self.max_abs_curvature()
+            return math.inf if k == 0.0 else 0.5 / k
+
+        return self._memo("h0", build)
 
     def metric_extents(self) -> tuple[float, float]:
         """Physical (metric-weighted) side lengths of the chart rectangle."""
-        t0, t1, z0, z1 = self.domain
-        th, zz = self.interior_samples(64)
-        return (
-            float((t1 - t0) * np.mean(self.a_theta(th, zz))),
-            float((z1 - z0) * np.mean(self.a_z(th, zz))),
-        )
+
+        def build():
+            t0, t1, z0, z1 = self.domain
+            th, zz = self.interior_samples(64)
+            return (
+                float((t1 - t0) * np.mean(self.a_theta(th, zz))),
+                float((z1 - z0) * np.mean(self.a_z(th, zz))),
+            )
+
+        return self._memo("metric_extents", build)
 
 
 def gaussian_curvature(surface: ParamSurface, theta, z) -> Array:
@@ -286,7 +330,7 @@ def gaussian_curvature(surface: ParamSurface, theta, z) -> Array:
 def _validate_surface(s: ParamSurface) -> ParamSurface:
     # each check asks for the good case, so that a NaN fails it
     th, zz = s.interior_samples(21)
-    ath, az = _arr(s.a_theta(th, zz)), _arr(s.a_z(th, zz))
+    ath, az = s.on_samples("a_theta", 21), s.on_samples("a_z", 21)
     if not (np.all(ath > 0) and np.all(az > 0)):
         raise ValueError(f"{s.name}: metric coefficients must be positive on the patch")
     nrm = s.normal(th, zz)
@@ -512,12 +556,19 @@ class ThicknessProfile:
         Each side is evaluated once, on the samples stacked with their four
         central-difference neighbours in theta and z.
         """
-        th, zz = surface.interior_samples(33)
         t0, t1, z0, z1 = surface.domain
         sth = 1e-6 * (t1 - t0)
         szz = 1e-6 * (z1 - z0)
-        stencil = (np.stack([th, th + sth, th - sth, th, th]), np.stack([zz, zz, zz, zz + szz, zz - szz]))
-        a_theta, a_z = surface.a_theta(th, zz), surface.a_z(th, zz)
+
+        def stencil_of():  # np.stack of the shifted (n, n) samples in value, broadcast from their axes
+            th, zz = surface.interior_samples(33)
+            th, zz = th[:, 0], zz[0]
+            shape = (5, len(th), len(zz))
+            return (np.broadcast_to(np.stack([th, th + sth, th - sth, th, th])[:, :, None], shape),
+                    np.broadcast_to(np.stack([zz, zz, zz, zz + szz, zz - szz])[:, None, :], shape))
+
+        stencil = surface._memo("stencil", stencil_of)
+        a_theta, a_z = surface.on_samples("a_theta", 33), surface.on_samples("a_z", 33)
         tol = 1e-9 * self.h
         grads = []
         for label, g in (("g1", self.g1), ("g2", self.g2)):
@@ -603,8 +654,7 @@ class ThinDomain:
         th, zz = self.surface.interior_samples(21)
         g1 = _arr(self.profile.g1(th, zz))
         g2 = _arr(self.profile.g2(th, zz))
-        for k in (self.surface.kappa_theta(th, zz), self.surface.kappa_z(th, zz)):
-            k = _arr(k)
+        for k in (self.surface.on_samples("kappa_theta", 21), self.surface.on_samples("kappa_z", 21)):
             worst = np.minimum(1.0 + (-g1) * k, 1.0 + g2 * k)
             if np.any(worst <= 0):
                 raise ChartDegeneracyError(

@@ -19,7 +19,7 @@ from .fields import FrameField, frame_gradient  # noqa: F401  (tools bind locali
 from .geometry import ProfileError, ThicknessProfile, ThinDomain, embed, matvec  # noqa: F401  (tools bind embed)
 from .inequality import _joined, _slabs
 from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
-from .norms import QuadratureGrid, lp_norm
+from .norms import QuadratureGrid, frobenius, lp_norm
 
 Array = np.ndarray
 
@@ -175,7 +175,7 @@ def _fit_patches(v: FrameField, grid: QuadratureGrid, ids: Array, n: int, p: flo
     w = grid.weights
     tot = np.bincount(ids.reshape(-1), weights=w.reshape(-1), minlength=n)
     rot = nearest_rotation(_group_mean(ids, w, ge, n, tot), warn_degenerate=False)
-    resid = _group_lp(ids, w, np.linalg.norm(ge - rot[ids], axis=(-2, -1)), n, p)
+    resid = _group_lp(ids, w, frobenius(ge - rot[ids], matrix=True), n, p)
     return comp, ge, rot, tot, resid, dist
 
 
@@ -252,12 +252,12 @@ def patch_trace(
     b = _group_mean(ids, w, v_e + imr_x, n, tot)
     b_worst = _group_mean(ids, w, imr_x, n, tot)
 
-    grad = _group_lp(ids, w, np.linalg.norm(ge - np.eye(3), axis=(-2, -1)), n, p)
-    field = _group_lp(ids, w, np.linalg.norm(v_e, axis=-1), n, p)
+    grad = _group_lp(ids, w, frobenius(ge - np.eye(3), matrix=True), n, p)
+    field = _group_lp(ids, w, frobenius(v_e, matrix=False), n, p)
     imr_frob = np.linalg.norm(rot - np.eye(3), axis=(-2, -1))
     i_minus_r = imr_frob * tot ** (1.0 / p)
-    poin = _group_lp(ids, w, np.linalg.norm(v_e + imr_x - b[ids], axis=-1), n, p)
-    rot_lb = _group_lp(ids, w, np.linalg.norm(imr_x - b_worst[ids], axis=-1), n, p)
+    poin = _group_lp(ids, w, frobenius(v_e + imr_x - b[ids], matrix=False), n, p)
+    rot_lb = _group_lp(ids, w, frobenius(imr_x - b_worst[ids], matrix=False), n, p)
 
     h = domain.h
     gamma = decomposition.gamma
@@ -337,7 +337,7 @@ def rotation_lower_bound_check(
         b = np.einsum("tij,tij...->...", w, imr_x) / vol
     else:
         b = np.asarray(offset, dtype=float)
-    lhs = float(np.sum(w * np.linalg.norm(imr_x - b, axis=-1) ** p) ** (1.0 / p))
+    lhs = float(np.sum(w * frobenius(imr_x - b, matrix=False) ** p) ** (1.0 / p))
     imr = float(np.linalg.norm(r - np.eye(3)))
     rhs = length_scale * imr * vol ** (1.0 / p)
     vacuous = imr <= 1e-13
@@ -420,8 +420,8 @@ def shell_to_domain_trace(v: FrameField, grid: QuadratureGrid, p: float) -> Shel
     ids_c = dec.cell_ids(core_grid)
     _, g_o, rot_o, tot_o, resid_o, dist_o = _fit_patches(v, grid, ids_o, n, p_f)
     _, g_c, rot_c, tot_c, resid_c, dist_c = _fit_patches(v, core_grid, ids_c, n, p_f)
-    grad_o = np.linalg.norm(g_o - np.eye(3), axis=(-2, -1))
-    grad_c = np.linalg.norm(g_c - np.eye(3), axis=(-2, -1))
+    grad_o = frobenius(g_o - np.eye(3), matrix=True)
+    grad_c = frobenius(g_c - np.eye(3), matrix=True)
     dist_o_p = _group_lp(ids_o, grid.weights, dist_o, n, p_f)
     dist_c_p = _group_lp(ids_c, core_grid.weights, dist_c, n, p_f)
     gap = np.linalg.norm(rot_o - rot_c, axis=(-2, -1))

@@ -345,22 +345,51 @@ def adaptive_theta_resolution(domain: ThinDomain, base: int = 64) -> int:
     return max(base, int(math.ceil(16 * (t1 - t0) / math.sqrt(domain.h))))
 
 
+def frobenius(values: Array, matrix: bool) -> Array:
+    """The Euclidean norm of each 3-vector, or with ``matrix`` the Frobenius norm of each 3x3 matrix, of ``values``.
+
+    The squares are added as explicit sums, in the order numpy's
+    ``add.reduce`` takes on a C-contiguous array: (s0 + s1) + s2 for a
+    vector, and for a matrix the pairwise sum of its 8-way unrolled loop,
+    (((s00 + s01) + (s02 + s10)) + ((s11 + s12) + (s20 + s21))) + s22.  On
+    C-contiguous values this is ``np.linalg.norm`` bit for bit, infs and
+    NaNs included, except the sign of a NaN from NaNs of both signs in one
+    node (``tests/test_norms.py``).  On any other layout the order stays the
+    same, so the bits do not depend on numpy's reduction kernel.  At a
+    battery's 5,120 nodes it takes a half to a fifth of numpy's time, with
+    numpy's scratch: the squares and two node-sized arrays (a third one
+    raised the sharpness sweep's peak RSS by about 0.3 MB).
+    """
+    s = np.square(values)
+    if not matrix:
+        out = np.add(s[..., 0], s[..., 1])
+        out += s[..., 2]
+        return np.sqrt(out, out=out)
+    s = s.reshape(s.shape[:-2] + (9,))
+    out = np.add(s[..., 0], s[..., 1])
+    tmp = np.add(s[..., 2], s[..., 3])
+    out += tmp
+    np.add(s[..., 4], s[..., 5], out=tmp)
+    tmp += np.add(s[..., 6], s[..., 7], out=s[..., 6])  # into the squares, which nothing reads again
+    out += tmp
+    out += s[..., 8]
+    return np.sqrt(out, out=out)
+
+
 def magnitudes(values: Array, grid: QuadratureGrid) -> Array:
     """Nodal magnitudes of a stack of nodal values, one leading stack axis before the grid's.
 
     Scalars use absolute value, vectors the Euclidean norm, matrices the
-    Frobenius norm, each node on its own, so the magnitudes of a slab of
-    nodes have the bits they have in the whole grid.
+    Frobenius norm (``frobenius``), each node on its own, so the magnitudes
+    of a slab of nodes have the bits they have in the whole grid.
     """
     values = np.asarray(values, dtype=float)
     base = tuple(grid.resolution)
     shape = values.shape[1:]
     if shape == base:
         return np.abs(values)
-    if shape == base + (3,):
-        return np.linalg.norm(values, axis=-1)
-    if shape == base + (3, 3):
-        return np.linalg.norm(values, axis=(-2, -1))
+    if shape in (base + (3,), base + (3, 3)):
+        return frobenius(values, matrix=len(shape) == len(base) + 2)
     raise ValueError(
         f"values shape {shape} does not match grid resolution {base} "
         "(scalar, 3-vector, or 3x3 nodal values expected)"

@@ -127,8 +127,8 @@ def test_force_rerun_is_bit_identical(tmp_path):
     ("sweep", "random", 0), ("korn-sweep", "random", 0), ("sweep", "random:3", 0), ("sweep", "ansatz", 1),
 ])
 def test_a_sweep_builds_its_surface_and_profile_once(tmp_path, monkeypatch, subcommand, field, profiles):
-    # the CLI's own validation builds the surface once and the sweep once
-    # more; only the ansatz field reads an ansatz profile, one per sweep
+    # the sweep's one validation builds the surface, which every h shares;
+    # only the ansatz field reads an ansatz profile, one per sweep
     calls = Counter()
     for module, name in ((geo, "make_surface"), (fl, "default_ansatz_profile")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
@@ -138,8 +138,20 @@ def test_a_sweep_builds_its_surface_and_profile_once(tmp_path, monkeypatch, subc
         monkeypatch.setattr(module, name, counted)
     argv = [subcommand, "--field", field, "--seeds", "3", *FAST_SWEEP, "--out", str(tmp_path / "run")]
     assert run(argv) == 0
-    assert 1 <= calls["make_surface"] <= 2
+    assert calls["make_surface"] == 1
     assert calls["default_ansatz_profile"] == profiles
+
+
+@pytest.mark.parametrize("sweep", [ex.run_sweep, ex.korn_sweep])
+@pytest.mark.parametrize("bad", [{"h_max": 0.6}, {"nt": 1}, {"p": 1.0}, {"seeds": 0}])
+def test_an_invalid_config_raises_from_the_sweep_before_anything_is_computed(monkeypatch, sweep, bad):
+    # run_sweep and korn_sweep refuse an invalid config themselves, before any domain, grid or field
+    computed = Counter()
+    for module, name in ((geo, "ThinDomain"), (nm, "build_grid"), (nm, "plane_nodes"), (fl, "random_smooth_field")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: computed.update([_name]))
+    with pytest.raises(ValueError):
+        sweep(ex.SweepConfig(field="random", **bad))
+    assert computed == Counter()
 
 
 def test_p_one_rejected_with_exit_2(tmp_path, capsys):
@@ -200,6 +212,18 @@ def test_korn_sweep_of_a_zero_field_has_no_strain(tmp_path):
     assert (out / "verdict.txt").read_text().startswith("no-strain: PASS (")
     assert (out / "verdict.txt").read_text().count("\n") == 1
     assert json.loads((out / "fit.json").read_text())["alpha_hat"] is None
+
+
+def test_zero_korn_battery_is_its_lowest_seed(tmp_path):
+    # every seed's report is 0/0 and flagged degenerate-exact, so the battery keeps seed 0's
+    # report, as the one-seed sweep of random:0 gives it, and passes as having no strain
+    outs = {field: tmp_path / field.replace(":", "_") for field in ("random", "random:0")}
+    for field, out in outs.items():
+        argv = ["korn-sweep", "--field", field, "--amplitude", "0", "--num-h", "4", "--nt", "3", "--ntheta", "12",
+                "--nz", "10", "--out", str(out)]
+        assert run(argv) == 0
+        assert (out / "verdict.txt").read_text().startswith("no-strain: PASS (")
+    assert (outs["random"] / "sweep.csv").read_bytes() == (outs["random:0"] / "sweep.csv").read_bytes()
 
 
 def test_trace_writes_artifacts(tmp_path):
@@ -351,6 +375,7 @@ def test_overflowing_sweep_fails_cleanly(tmp_path, command, field):
         (["doubling", "--num-r", "1", "--r-min", "0.01", "--r-max", "0.02"], "--num-r 1 evaluates --r-min alone"),
         (["sweep", "--h-min", "0.1", "--h-max", "0.01"], "need 0 < h_min < h_max"),
         (["sweep", "--threads", "0"], "threads must be >= 1"),
+        (["sweep", "--field", "random", "--h-max", "0.6"], "h_max=0.6 must stay below the chart bound"),
         (["trace", "--h", "0.6"], "h=0.6 must stay below h0=0.5"),
         (["trace", "--field", "identity"], "trace needs a displacement field"),
         (["trace", "--gamma", "2"], "gamma must lie in [0, 1]"),

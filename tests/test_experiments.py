@@ -189,6 +189,26 @@ def test_battery_fails_when_every_seed_is_nan(monkeypatch, sweep, report):
     assert err.value.partial_rows == []
 
 
+@pytest.mark.parametrize("flags, kept", [(("degenerate-exact",) * 3, True), (("degenerate-exact", "", "degenerate-exact"), False)])
+def test_battery_of_nan_ratios_keeps_seed_0_only_when_all_are_degenerate_exact(flags, kept):
+    # an exact zero field is 0/0 for every seed, which is no failure; any other NaN seed still fails its h
+    orig = ex._korn_report
+
+    def report(config, grid, eps, specs, field):
+        reps = orig(config, grid, eps, specs, field)
+        return [dataclasses.replace(rep, ratio=math.nan, flag=flags[int(spec.split(":")[1])])
+                for spec, rep in zip(specs, reps)]
+
+    config = ex.SweepConfig(field="random", seeds=3, **FAST)
+    if not kept:
+        with pytest.raises(ex.SweepError, match="no battery seed gave a finite ratio"):
+            ex._sweep(config, config.validate(), report, lambda h: 0.0)
+        return
+    rows, reports = ex._sweep(config, config.validate(), report, lambda h: 0.0)
+    assert all(math.isnan(row["ratio"]) for row in rows)
+    assert [rep.meta["field"] for rep in reports] == ["random:0"] * FAST["num_h"]
+
+
 def test_best_fit_rotation_mode_runs():
     res = ex.run_sweep(ex.SweepConfig(field="random:1", rotation_mode="best-fit", **FAST))
     assert all(math.isfinite(row["ratio"]) for row in res.rows)

@@ -183,6 +183,39 @@ def test_h0_values():
     assert geo.pseudosphere().h0() == pytest.approx(0.5, rel=1e-3)
 
 
+@pytest.mark.parametrize("name", ALL_SURFACES)
+def test_thin_domains_on_one_surface_evaluate_its_maps_once(name):
+    # h0, the metric extents, the interior samples with their chart coefficients and the profile
+    # check's stencil depend on the surface alone, so later domains and calls evaluate no surface map
+    calls = []
+
+    def counted(key, fn):
+        def call(theta, z):
+            calls.append(key)
+            return fn(theta, z)
+        return call
+
+    fresh = geo.make_surface(name)
+    keys = ("a_theta", "a_z", "kappa_theta", "kappa_z")
+    s = dataclasses.replace(fresh, **{key: counted(key, getattr(fresh, key)) for key in keys})
+    geo.ThinDomain(s, geo.bump_profile(1e-2, s))
+    assert (s.h0(), s.metric_extents()) == (fresh.h0(), fresh.metric_extents())
+    first = len(calls)
+    for h in (3e-3, 1e-3):
+        geo.ThinDomain(s, geo.shell_profile(h))
+        geo.ThinDomain(s, geo.bump_profile(h, s))
+    assert (s.h0(), s.metric_extents()) == (fresh.h0(), fresh.metric_extents())
+    assert len(calls) == first
+    th, zz = s.interior_samples(21)
+    want = np.meshgrid(th[:, 0], zz[0], indexing="ij")
+    assert th.tobytes() == want[0].tobytes() and zz.tobytes() == want[1].tobytes()
+    for a in (th, zz, s.on_samples("kappa_z", 21), s.on_samples("a_theta", 33)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    # replace builds a surface with maps of its own, so it starts a memo of its own
+    assert geo._validate_surface(dataclasses.replace(s)).memo is not s.memo
+
+
 # -- volume element --------------------------------------------------------------
 
 

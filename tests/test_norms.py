@@ -247,6 +247,45 @@ def test_matrix_and_vector_magnitudes(plate_grid):
     assert m == pytest.approx(3.0 * plate_grid.volume**0.5)
 
 
+def _norm_cases(shape, trailing, rng):
+    """C-contiguous values of ``shape + trailing``: entries from 1e-150 to 1e150 of both signs, with
+    exact zeros, -0.0, infs and NaNs placed at random, and a node each of zeros, -0.0, 1e-150 and -NaN.
+
+    The NaNs of a node share one sign: which of two NaNs of opposite sign a sum returns depends on
+    the operand order the compiler gave numpy's loop, so no explicit sum can promise its sign.
+    """
+    values = rng.choice([-1.0, 1.0], size=shape + trailing) * 10.0 ** rng.uniform(-150, 150, size=shape + trailing)
+    for special in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        values[rng.random(values.shape) < 0.03] = special
+    nodes = values.reshape((-1,) + trailing)
+    nodes[0], nodes[1], nodes[2], nodes[3] = 0.0, -0.0, 1e-150, -np.nan
+    return values
+
+
+@pytest.mark.parametrize("lead", [(20,), ()], ids=["seed-axis", "no-seed-axis"])
+@pytest.mark.parametrize("matrix", [False, True], ids=["vectors", "matrices"])
+def test_frobenius_has_the_bits_of_numpys_norm(lead, matrix):
+    # explicit sums in the order of numpy's reduction, on C-contiguous stacks of nodal values
+    rng = np.random.default_rng(7)
+    trailing = (3, 3) if matrix else (3,)
+    values = _norm_cases(lead + (4, 8, 8), trailing, rng)
+    expected = np.linalg.norm(values, axis=(-2, -1) if matrix else -1)
+    got = nm.frobenius(values, matrix=matrix)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert np.isnan(got).any() and np.isinf(got).any() and (got == 0.0).any()
+    grid = SimpleNamespace(resolution=(4, 8, 8))
+    stack = values if lead else values[None]
+    assert nm.magnitudes(stack, grid).tobytes() == expected.reshape((-1, 4, 8, 8)).tobytes()
+
+
+def test_frobenius_order_does_not_follow_the_layout():
+    # a transposed view is summed in the same index order as its contiguous copy
+    m = np.random.default_rng(3).normal(size=(50, 3, 3)) * 1e3
+    view = np.swapaxes(m, -1, -2)
+    assert nm.frobenius(view, matrix=True).tobytes() == nm.frobenius(view.copy(), matrix=True).tobytes()
+
+
 def test_norm_rejects_nonfinite(plate_grid):
     v = np.ones(plate_grid.resolution)
     v[0, 0, 0] = np.inf
