@@ -28,7 +28,8 @@ from pathlib import Path
 
 # the battery, the sharpness sweeps, the three audit traces, best-fit and zero-offset
 # sweeps, the Korn sweeps, p = 3, a rigid field, a run that fails (exit 1), and the
-# gradient check and doubling runs, which build thin domains and surfaces outside a sweep
+# gradient check and doubling runs, which build thin domains and surfaces outside a sweep,
+# and the identity field, whose R = I comes from its motion and whose reports are degenerate-exact
 ARGVS = (
     "sweep --surface sphere --field random --seeds 20 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 8 --nz 8",
     "sweep --surface sphere --field ansatz --p 2 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 32 --nz 16",
@@ -51,6 +52,7 @@ ARGVS = (
     "sweep --field random:1 --amplitude 1e300 --num-h 4 --nt 6 --ntheta 48 --nz 48",
     "check-gradient --points 40 --seed 3",
     "doubling --surface pseudosphere --centers 4 --num-r 3 --budget 40000 --seed 2",
+    "sweep --surface sphere --field identity --num-h 4 --nt 4 --ntheta 8 --nz 8",
 )
 
 

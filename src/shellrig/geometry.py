@@ -123,42 +123,44 @@ class SurfaceNodes:
         offset chart and the turning of the frame.  Each sum over the rows of a
         (3, 3) array runs in the order 0, 1, 2, as ``np.einsum("...ik,...i->...k")``
         does; the products use component-major copies of the (theta, z) arrays
-        and six node-sized scratch arrays.
+        and eight node-sized scratch arrays, allocated first: tmp, acc, the
+        three partials of a column, and the three stretched vectors
+        a (1 + t kappa) e_ij, each formed once per column.
         """
         t = _arr(t)
         c = self.coeffs
         shape = np.broadcast_shapes(t.shape, self.frame.shape[:-2])
         # scratch first, plane copies last: other orders raised sweeps' peak RSS (BENCH_12.json)
-        scratch = np.empty((6,) + shape)
+        scratch = np.empty((8,) + shape)
         x, comp, par = np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape + (3, 3))
-        tmp, fac, acc, *col = scratch
+        tmp, acc, *col = scratch[:5]
+        stretched = scratch[5:]
         planes = (self.frame, self.d_theta, self.d_z)
         e, d_th, d_z = (np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))) for a in planes)
 
         def rows_sum(m, k, v, out):
-            # out = (m_0k v(0) + m_1k v(1)) + m_2k v(2); v(i) may compute into tmp
-            np.multiply(m[0, k], v(0), out=out)
+            # out = (m_0k v[0] + m_1k v[1]) + m_2k v[2]
+            np.multiply(m[0, k], v[0], out=out)
             for i in (1, 2):
-                out += np.multiply(m[i, k], v(i), out=tmp)
+                out += np.multiply(m[i, k], v[i], out=tmp)
 
         np.add(self.position, np.multiply(t[..., None], self.frame[..., 0], out=x), out=x)
-        x_at = np.moveaxis(x, -1, 0).__getitem__  # x_at(i) is x[..., i]
+        x_i = np.moveaxis(x, -1, 0)  # x_i[i] is x[..., i]
         par[..., :, 0] = np.stack([(e[0, k] * e[0, 0] + e[1, k] * e[1, 0]) + e[2, k] * e[2, 0] for k in range(3)], -1)
         for j, (a, kappa, d) in enumerate(((c.a_theta, c.kappa_theta, d_th), (c.a_z, c.kappa_z, d_z)), start=1):
+            fac = stretched[2]  # a (1 + t kappa), scaled by e_2j last
             np.multiply(t, kappa, out=fac)
             fac += 1.0
             fac *= a
-
-            def stretched(i):  # a (1 + t kappa) e_ij, recomputed rather than stored
-                return np.multiply(fac, e[i, j], out=tmp)
-
+            for i in range(3):
+                np.multiply(fac, e[i, j], out=stretched[i])
             for k in range(3):
                 rows_sum(e, k, stretched, col[k])
-                rows_sum(d, k, x_at, acc)
+                rows_sum(d, k, x_i, acc)
                 col[k] += acc
-            par[..., :, j] = np.moveaxis(scratch[3:], 0, -1)
+            par[..., :, j] = np.moveaxis(scratch[2:5], 0, -1)
         for k in range(3):
-            rows_sum(e, k, x_at, comp[..., k])
+            rows_sum(e, k, x_i, comp[..., k])
         return IdentityMap(comp, par, x)
 
 

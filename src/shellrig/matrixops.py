@@ -77,17 +77,31 @@ def conjugate_3x3(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     equals bit for bit (an l-major or per-k partial sum does not).  The
     terms run component-major, on a copy of ``a`` and on strided views of
     ``g``, so each is one pass over the batch instead of einsum's generic
-    loops; the result is C-contiguous (..., 3, 3).
+    loops, formed in two reused buffers; the result is C-contiguous
+    (..., 3, 3).
+
+    When ``g`` is one 3x3 matrix (a fixed rotation R in E^T R E) and ``a`` is
+    finite, the terms of g's exact zeros are skipped: for R = I three of the
+    nine remain.  That keeps every bit.  Such a term is +-0.0, and a
+    round-to-nearest sum is -0.0 only when both addends are, so no partial
+    sum that starts from +0.0 is -0.0, and adding +-0.0 to it returns it
+    unchanged.  With an infinite or NaN entry in ``a`` a term can be inf * 0
+    = NaN, so every term is kept.
     """
     # ak[k, i] = a_ik, so both factors of a term are contiguous (3, ...) blocks
     a, g = np.asarray(a, dtype=float), np.asarray(g, dtype=float)
     ak = np.ascontiguousarray(a.transpose((a.ndim - 1, a.ndim - 2, *range(a.ndim - 2))))
     batch = np.broadcast(ak[0, 0], g[..., 0, 0]).shape
     ak = ak.reshape((3, 3) + (1,) * (len(batch) + 2 - ak.ndim) + ak.shape[2:])
+    skip = g.ndim == 2 and bool(np.isfinite(ak).all())
     out = np.zeros((3, 3) + batch)
+    ag, term = np.empty((3, 1) + batch), np.empty_like(out)
     for k in range(3):
         for l in range(3):
-            out += (ak[k, :, None] * g[..., k, l]) * ak[l, None, :]
+            if skip and g[k, l] == 0.0:
+                continue
+            np.multiply(ak[k, :, None], g[..., k, l], out=ag)
+            out += np.multiply(ag, ak[l, None, :], out=term)
     return np.ascontiguousarray(out.transpose((*range(2, out.ndim), 0, 1)))
 
 

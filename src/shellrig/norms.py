@@ -278,6 +278,11 @@ def build_grid(domain: ThinDomain, resolution: tuple[int, int, int]) -> Quadratu
     again.
     The cached arrays are read-only, so every grid sees the fresh rule's
     values.
+
+    The volume element takes the (ntheta, 1) and (1, nz) node arrays, so its
+    chart maps run once per (theta, z) node and only the offset factors
+    1 + t kappa per grid node; numpy's maps give the same bits on these
+    arrays as on broadcast (nt, ntheta, nz) copies.
     """
     nt, nth, nz = (int(n) for n in resolution)
     if min(nt, nth, nz) < 2:
@@ -294,10 +299,8 @@ def build_grid(domain: ThinDomain, resolution: tuple[int, int, int]) -> Quadratu
     t = mid[None, :, :] + half[None, :, :] * xt[:, None, None]
     w_t = half[None, :, :] * wt[:, None, None]
 
-    th3 = np.broadcast_to(theta[None, :, None], (nt, nth, nz))
-    z3 = np.broadcast_to(z[None, None, :], (nt, nth, nz))
     try:
-        jac = volume_jacobian(domain, t, th3, z3)
+        jac = volume_jacobian(domain, t, th2, z2)
     except ChartDegeneracyError as err:
         raise ChartDegeneracyError(f"grid node inside a degenerate chart region: {err}") from err
     bad = jac <= 0

@@ -8,6 +8,8 @@ the E^T R E term of ``interpolation_sides`` and the E g E^T of
 (``matrixops.conjugate_3x3``) used before they were written as explicit sums.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,100 @@ def test_gradient_conjugate_matches_einsum_on_patch_batches(batch):
     e = mo.random_rotation(rng, max(1, int(np.prod(batch)))).reshape(batch + (3, 3))
     g = rng.normal(size=batch + (3, 3))
     _same(mo.conjugate_3x3(e, g), _conjugate_einsum(e, g))
+
+
+def _bits(a, b):
+    """a has the bits of b, the signs of zeros included; a NaN matches either NaN (its sign is the compiled loop's choice)."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _signed_permutations():
+    """The 24 signed permutation matrices of SO(3): the identity, diag(1, -1, -1), the cyclic permutations, ..."""
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            m = np.zeros((3, 3))
+            m[range(3), perm] = signs
+            if np.linalg.det(m) > 0:
+                out.append(m)
+    return out
+
+
+def _fixed_rotations_with_zeros():
+    c, s = np.cos(0.7), np.sin(0.7)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    one_zero = rx @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # zero at (0, 2) alone
+    assert np.count_nonzero(one_zero == 0.0) == 1
+    perms = _signed_permutations()
+    assert len(perms) == 24
+    negative_zeros = [np.where(r == 0.0, -0.0, r) for r in perms[:4]]
+    return perms + [one_zero, rx] + negative_zeros
+
+
+def _fixed_conjugate_einsum(a, r):
+    return np.einsum("...ik,kl,...jl->...ij", a, r, a)
+
+
+def _signed_zero_batch(rng, shape):
+    """Mixed magnitudes with -0.0 entries, entries whose products underflow to +-0.0, and all-(-0.0) matrices."""
+    a = _mixed(rng, shape + (3, 3))
+    pick = rng.uniform(size=a.shape)
+    a[pick < 0.15] = -0.0
+    tiny = (pick >= 0.15) & (pick < 0.3)
+    a[tiny] = rng.choice([-1e-170, 1e-170, -3e-200, 2e-190], size=np.count_nonzero(tiny))
+    flat = a.reshape(-1, 3, 3)
+    flat[::7] = -0.0
+    flat[3::11] = rng.choice([-1e-170, 1e-170], size=flat[3::11].shape)
+    return a
+
+
+def test_fixed_rotation_with_exact_zeros_keeps_einsums_bits_on_frames(grid):
+    # the zero terms of a fixed R are skipped, as for E^T R E in interpolation_sides
+    e = grid.nodes.frame
+    for a in (e, np.swapaxes(e, -1, -2)):
+        for r in _fixed_rotations_with_zeros():
+            out = mo.conjugate_3x3(a, r)
+            assert out.flags.c_contiguous
+            _bits(out, _fixed_conjugate_einsum(a, r))
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (17, 11), (3, 17, 11)])
+def test_fixed_rotation_with_exact_zeros_keeps_einsums_bits_on_signed_zeros(batch):
+    a = _signed_zero_batch(np.random.default_rng(19), batch)
+    for r in _fixed_rotations_with_zeros():
+        _bits(mo.conjugate_3x3(a, r), _fixed_conjugate_einsum(a, r))
+
+
+def test_signed_zero_sums_stay_positive_zero():
+    # every term of these entries is +-0.0, so the sum is +0.0 with or without the skip
+    a = np.full((4, 3, 3), -0.0)
+    a[1] = np.diag([-1e-170, 1e-170, -1e-170])
+    a[2, :, 0] = -1e-200
+    a[3] = np.eye(3) * -1e-170
+    for r in _fixed_rotations_with_zeros():
+        out = mo.conjugate_3x3(a, r)
+        _bits(out, _fixed_conjugate_einsum(a, r))
+        assert not np.signbit(out).any()
+
+
+def test_nonfinite_batch_keeps_every_term():
+    # inf * 0 is NaN, so with an inf or NaN in ``a`` no zero term of R may be skipped
+    rng = np.random.default_rng(23)
+    a = _mixed(rng, (40, 3, 3))
+    a[3, 0, 1] = np.inf
+    a[8, 2, 2] = -np.inf
+    a[12, 1, 0] = np.nan
+    a[20] = np.inf
+    a[30, :, 2] = -np.inf
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        for r in _fixed_rotations_with_zeros():
+            out = mo.conjugate_3x3(a, r)
+            want = _fixed_conjugate_einsum(a, r)
+            _bits(out, want)
+            assert np.isnan(want[3]).any() and np.isfinite(out[0]).all()
+            # the finite matrices keep the bits they have alone, where the zero terms are skipped
+            _bits(out[finite], mo.conjugate_3x3(a[finite], r))

@@ -389,3 +389,24 @@ def test_plane_nodes_are_the_plane_geometry_of_every_grid_on_the_surface(name):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         shared = nm.build_grid(grid.domain, (3, 12, 10)).sharing(plane)
         assert shared.nodes is plane
+
+
+@pytest.mark.parametrize("resolution", [(3, 17, 11), (4, 16, 12), (4, 506, 16)], ids=lambda r: "x".join(map(str, r)))
+@pytest.mark.parametrize("profile", geo.PROFILES)
+@pytest.mark.parametrize("name", ["plate", "cylinder", "sphere", "pseudosphere"])
+def test_volume_element_on_the_plane_has_the_bits_of_the_grid_evaluation(name, profile, resolution, monkeypatch):
+    # build_grid evaluates the chart maps on the (theta, z) nodes; on broadcast
+    # (nt, ntheta, nz) copies, as it did before, the weights have the same bits
+    s = geo.make_surface(name)
+    domain = geo.ThinDomain(s, geo.make_profile(profile, 1e-2, s))
+    grid = nm.build_grid(domain, resolution)
+    jacobian = geo.volume_jacobian
+
+    def on_the_grid(domain, t, theta, z):
+        assert theta.shape == (resolution[1], 1) and z.shape == (1, resolution[2])
+        return jacobian(domain, t, np.broadcast_to(theta, t.shape), np.broadcast_to(z, t.shape))
+
+    monkeypatch.setattr(nm, "volume_jacobian", on_the_grid)
+    want = nm.build_grid(domain, resolution)
+    assert grid.weights.shape == resolution
+    assert grid.weights.tobytes() == want.weights.tobytes()

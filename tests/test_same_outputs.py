@@ -40,9 +40,11 @@ def _stub(same, monkeypatch, differing=None):
 
 
 def test_argvs_are_the_byte_identical_runs_of_record(same):
-    record = json.loads((ROOT / "BENCH_23.json").read_text())["byte_identical_runs"]
+    record = json.loads((ROOT / "BENCH_24.json").read_text())["byte_identical_runs"]
     assert list(same.ARGVS) == record["argv"]
-    assert len(same.ARGVS) == 17
+    assert len(same.ARGVS) == 18
+    # the first 17 are the runs of record of BENCH_23.json
+    assert list(same.ARGVS[:17]) == json.loads((ROOT / "BENCH_23.json").read_text())["byte_identical_runs"]["argv"]
     # the first 15 are the runs of record since BENCH_16.json
     assert list(same.ARGVS[:15]) == json.loads((ROOT / "BENCH_16.json").read_text())["byte_identical_runs"]["argv"]
 
@@ -56,9 +58,9 @@ def test_same_outputs_pass_and_are_recorded(same, monkeypatch, tmp_path, capsys)
     assert same.calls == [(side, line) for line in same.ARGVS for side in ("parent", "change")]
     doc = json.loads(out.read_text())
     assert doc["same"] is True and doc["argv"] == list(same.ARGVS)
-    assert [r["difference"] for r in doc["runs"]] == [None] * 17
+    assert [r["difference"] for r in doc["runs"]] == [None] * 18
     assert doc["runs"][0]["files"] == ["fit.json", "verdict.txt"]
-    assert capsys.readouterr().out.count("same: ") == 17
+    assert capsys.readouterr().out.count("same: ") == 18
 
 
 def test_one_differing_file_fails(same, monkeypatch, tmp_path, capsys):
@@ -69,7 +71,7 @@ def test_one_differing_file_fails(same, monkeypatch, tmp_path, capsys):
     assert f"DIFFERS in fit.json: {same.ARGVS[3]}" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["same"] is False
-    assert [r["difference"] for r in doc["runs"]] == [None] * 3 + ["fit.json"] + [None] * 13
+    assert [r["difference"] for r in doc["runs"]] == [None] * 3 + ["fit.json"] + [None] * 14
 
 
 @pytest.mark.parametrize(
