@@ -29,7 +29,8 @@ from pathlib import Path
 # the battery, the sharpness sweeps, the three audit traces, best-fit and zero-offset
 # sweeps, the Korn sweeps, p = 3, a rigid field, a run that fails (exit 1), and the
 # gradient check and doubling runs, which build thin domains and surfaces outside a sweep,
-# and the identity field, whose R = I comes from its motion and whose reports are degenerate-exact
+# the identity field, whose R = I comes from its motion and whose reports are degenerate-exact,
+# and a trace on a uniform shell, whose fields are evaluated on an (nt, 1, 1) t axis
 ARGVS = (
     "sweep --surface sphere --field random --seeds 20 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 8 --nz 8",
     "sweep --surface sphere --field ansatz --p 2 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 32 --nz 16",
@@ -53,6 +54,8 @@ ARGVS = (
     "check-gradient --points 40 --seed 3",
     "doubling --surface pseudosphere --centers 4 --num-r 3 --budget 40000 --seed 2",
     "sweep --surface sphere --field identity --num-h 4 --nt 4 --ntheta 8 --nz 8",
+    "trace --surface cylinder --profile shell --field random:7 --amplitude 1e-3 --gamma 0.5 --h 1e-2 --nt 2 "
+    "--ntheta 16 --nz 16",
 )
 
 

@@ -78,14 +78,17 @@ def frame_gradient(field: FrameField, surface: ParamSurface, t, theta, z) -> Arr
     par = field.partials(t, theta, z)
     if par is None:
         raise ValueError("field has no partials; supply analytic or sampled partials")
-    return gradient_from_partials(comp, par, t, chart_coefficients(surface, theta, z))
+    # C-contiguous: callers reduce it with numpy, whose summation order follows the layout
+    return np.ascontiguousarray(gradient_from_partials(comp, par, t, chart_coefficients(surface, theta, z)))
 
 
 def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients) -> Array:
     """``frame_gradient`` from evaluated components and partials.
 
     ``coeffs`` may sit on the (theta, z) nodes alone; they broadcast over t,
-    and t over a leading seed axis of stacked ``comp`` and ``par``.
+    and t over a leading seed axis of stacked ``comp`` and ``par``.  The
+    gradient is built component-major, one contiguous pass per entry into a
+    (3, 3, ...) buffer, and returned as its node-major (..., 3, 3) view.
     """
     ath, az, kth, kz, athz, azth = coeffs
     fac_th = 1.0 + t * kth
@@ -96,17 +99,17 @@ def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients
     dz = az * fac_z
 
     yt, yth, yz = comp[..., 0], comp[..., 1], comp[..., 2]
-    g = np.empty(np.broadcast(t, ath, yt).shape + (3, 3))
-    g[..., 0, 0] = par[..., 0, 0]
-    g[..., 1, 0] = par[..., 1, 0]
-    g[..., 2, 0] = par[..., 2, 0]
-    g[..., 0, 1] = (par[..., 0, 1] - ath * kth * yth) / dth
-    g[..., 1, 1] = (par[..., 1, 1] + ath * kth * yt + (athz / az) * yz) / dth
-    g[..., 2, 1] = (par[..., 2, 1] - (athz / az) * yth) / dth
-    g[..., 0, 2] = (par[..., 0, 2] - az * kz * yz) / dz
-    g[..., 1, 2] = (par[..., 1, 2] - (azth / ath) * yz) / dz
-    g[..., 2, 2] = (par[..., 2, 2] + az * kz * yt + (azth / ath) * yth) / dz
-    return g
+    g = np.empty((3, 3) + np.broadcast(t, ath, yt).shape)
+    g[0, 0] = par[..., 0, 0]
+    g[1, 0] = par[..., 1, 0]
+    g[2, 0] = par[..., 2, 0]
+    np.divide(par[..., 0, 1] - ath * kth * yth, dth, out=g[0, 1])
+    np.divide(par[..., 1, 1] + ath * kth * yt + (athz / az) * yz, dth, out=g[1, 1])
+    np.divide(par[..., 2, 1] - (athz / az) * yth, dth, out=g[2, 1])
+    np.divide(par[..., 0, 2] - az * kz * yz, dz, out=g[0, 2])
+    np.divide(par[..., 1, 2] - (azth / ath) * yz, dz, out=g[1, 2])
+    np.divide(par[..., 2, 2] + az * kz * yt + (azth / ath) * yth, dz, out=g[2, 2])
+    return np.moveaxis(g, (0, 1), (-2, -1))
 
 
 def on_grid(field: FrameField, grid) -> tuple[Array, Array]:
@@ -155,8 +158,8 @@ def euclidean_gradient_oracle(
     surface = domain.surface
 
     def y_euclid(tt, th, zz):
-        e = surface.frame(th, zz)
-        return np.einsum("...ij,...j->...i", e, field.components(tt, th, zz))
+        e = surface.frame(th, zz)  # einsum's order follows the layout: keep the components C-contiguous
+        return np.einsum("...ij,...j->...i", e, np.ascontiguousarray(field.components(tt, th, zz)))
 
     def x_euclid(tt, th, zz):
         return embed(domain, tt, th, zz, check=False)
@@ -216,14 +219,15 @@ def transform_rigid(
         dd_z = np.einsum("...ik,i->...k", de_z, c)
         return m, dm_th, dm_z, d, dd_th, dd_z
 
+    # einsum's order follows the layout, so its field inputs are C-contiguous
     def comp(t, theta, z):
         m, _, _, d, _, _ = mats(theta, z)
-        return np.einsum("...kl,...l->...k", m, field.components(t, theta, z)) + d
+        return np.einsum("...kl,...l->...k", m, np.ascontiguousarray(field.components(t, theta, z))) + d
 
     def par(t, theta, z):
         m, dm_th, dm_z, _, dd_th, dd_z = mats(theta, z)
-        base = field.components(t, theta, z)
-        dbase = field.partials(t, theta, z)
+        base = np.ascontiguousarray(field.components(t, theta, z))
+        dbase = np.ascontiguousarray(field.partials(t, theta, z))
         out = np.einsum("...kl,...lj->...kj", m, dbase)
         out[..., 1] += np.einsum("...kl,...l->...k", dm_th, base) + dd_th
         out[..., 2] += np.einsum("...kl,...l->...k", dm_z, base) + dd_z
@@ -263,20 +267,20 @@ def displacement_to_deformation(
     )
 
 
-def _mode_sum(terms: Array) -> Array:
-    """Sum of (modes, 3, ...) terms over modes, as a (..., 3) view of a (3, ...) array.
+def _mode_sum(terms: Array, out: Array) -> Array:
+    """Sum of (modes, 3, ...) terms over modes, into the (3, ...) array ``out``.
 
     It adds in the order of ``np.sum`` along a contiguous modes axis: in
     sequence from zero below 8 modes, and numpy's own pairwise sum (on a
     modes-last copy) from 8 modes on.
     """
     if len(terms) >= 8:
-        acc = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
+        np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1, out=out)
     else:
-        acc = np.zeros(terms.shape[1:])
+        out.fill(0.0)
         for term in terms:
-            acc += term
-    return acc.transpose((*range(1, acc.ndim), 0))
+            out += term
+    return out
 
 
 def random_smooth_field(
@@ -309,10 +313,10 @@ def random_smooth_field(
     uniform shell only the last multiply writes every node, into one reused
     (modes, 3, ...) buffer (on a bump profile every product does).
     ``_mode_sum`` adds the modes in ``np.sum``'s order: in sequence, ((m0 + m1) + m2) + ..., below 8
-    modes, as the old (..., 3, modes) layout did.  ``components`` is returned
-    C-contiguous, so a seed's slice of a stack has a lone seed's layout; the
-    reports' bits no longer depend on it (``geometry.matvec`` sums E y in a
-    fixed order, where einsum's order followed the layout of its input).
+    modes, as the old (..., 3, modes) layout did.  Both outputs are stored
+    component-major, as the (3, [S,] ...) and (3, 3, [S,] ...) mode sums,
+    and returned as their node-major views; a seed's slice of a stack has
+    a lone seed's bits, and each of its entries is one contiguous block.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
@@ -365,7 +369,7 @@ def random_smooth_field(
         shape, lift, at, ath, az = angles(t, theta, z)
         terms = np.empty((mode_count, 3) + lead + shape)
         product(terms, coef[lift], np.cos(at, out=at), np.cos(ath), np.cos(az))
-        return np.ascontiguousarray(_mode_sum(terms))
+        return np.moveaxis(_mode_sum(terms, np.empty(terms.shape[1:])), 0, -1)
 
     def par(t, theta, z):
         shape, lift, at, ath, az = angles(t, theta, z)
@@ -373,12 +377,12 @@ def random_smooth_field(
         # t angles on every node: their sine goes into the term buffer, one array fewer
         st, sth, sz = np.sin(at, out=terms if at.shape == terms.shape else None), np.sin(ath), np.sin(az)
         ct, cth, cz = np.cos(at, out=at), np.cos(ath), np.cos(az)
-        out = np.empty(lead + shape + (3, 3))
+        out = np.empty((3, 3) + lead + shape)
         factors = ((w_t, st, cth, cz), (w_th, ct, sth, cz), (w_z, ct, cth, sz))
         for j, (w, a, b, d) in enumerate(factors):
             product(terms, (-coef * w)[lift], a, b, d)
-            out[..., j] = _mode_sum(terms)
-        return out
+            _mode_sum(terms, out[:, j])
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     return FrameField(
         comp,
@@ -521,7 +525,7 @@ def ansatz_displacement(
         ut = profile.w(xi, zz) + 0.0 * t
         uth = -t * s * profile.w_xi(xi, zz) / ath
         uz = -t * profile.w_z(xi, zz) / az
-        return np.stack(np.broadcast_arrays(ut, uth, uz), axis=-1)
+        return np.moveaxis(np.stack(np.broadcast_arrays(ut, uth, uz)), 0, -1)
 
     def par(t, theta, z):
         t, xi, zz = _data(t, theta, z)
@@ -538,17 +542,17 @@ def ansatz_displacement(
         w_zz = profile.w_zz(xi, zz)
 
         shape = np.broadcast(t, xi, zz, ath).shape
-        out = np.empty(shape + (3, 3))
-        out[..., 0, 0] = 0.0
-        out[..., 0, 1] = s * w_xi
-        out[..., 0, 2] = w_z
-        out[..., 1, 0] = -s * w_xi / ath
-        out[..., 1, 1] = -t * s * (s * w_xixi * ath - w_xi * ath_th) / ath**2
-        out[..., 1, 2] = -t * s * (w_xiz * ath - w_xi * ath_z) / ath**2
-        out[..., 2, 0] = -w_z / az
-        out[..., 2, 1] = -t * (s * w_xiz * az - w_z * az_th) / az**2
-        out[..., 2, 2] = -t * (w_zz * az - w_z * az_z) / az**2
-        return out
+        out = np.empty((3, 3) + shape)
+        out[0, 0] = 0.0
+        out[0, 1] = s * w_xi
+        out[0, 2] = w_z
+        out[1, 0] = -s * w_xi / ath
+        out[1, 1] = -t * s * (s * w_xixi * ath - w_xi * ath_th) / ath**2
+        out[1, 2] = -t * s * (w_xiz * ath - w_xi * ath_z) / ath**2
+        out[2, 0] = -w_z / az
+        out[2, 1] = -t * (s * w_xiz * az - w_z * az_th) / az**2
+        out[2, 2] = -t * (w_zz * az - w_z * az_z) / az**2
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     return FrameField(
         comp, par, kind="displacement", description=f"ansatz(h={h!r})"

@@ -122,19 +122,21 @@ class SurfaceNodes:
         e_theta) + (dE/dtheta)^T x, column 2 likewise in z: the stretch of the
         offset chart and the turning of the frame.  Each sum over the rows of a
         (3, 3) array runs in the order 0, 1, 2, as ``np.einsum("...ik,...i->...k")``
-        does; the products use component-major copies of the (theta, z) arrays
-        and eight node-sized scratch arrays, allocated first: tmp, acc, the
-        three partials of a column, and the three stretched vectors
-        a (1 + t kappa) e_ij, each formed once per column.
+        does.  Everything is built component-major, into (3, ...) and
+        (3, 3, ...) slices of one (15, ...) buffer that the map hands out as
+        node-major views, (..., 3) and (..., 3, 3): each entry is one
+        contiguous pass over the nodes.  The products use component-major
+        copies of the (theta, z) arrays and five node-sized scratch arrays:
+        tmp, acc and the three stretched vectors a (1 + t kappa) e_ij, each
+        formed once per column.
         """
         t = _arr(t)
         c = self.coeffs
         shape = np.broadcast_shapes(t.shape, self.frame.shape[:-2])
-        # scratch first, plane copies last: other orders raised sweeps' peak RSS (BENCH_12.json)
-        scratch = np.empty((8,) + shape)
-        x, comp, par = np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape + (3, 3))
-        tmp, acc, *col = scratch[:5]
-        stretched = scratch[5:]
+        # one output buffer, then scratch, then plane copies: other orders raised sweeps' peak RSS (BENCH_12.json, BENCH_26.json)
+        buf = np.empty((15,) + shape)
+        x, comp, par = buf[:3], buf[3:6], buf[6:].reshape((3, 3) + shape)
+        tmp, acc, *stretched = np.empty((5,) + shape)
         planes = (self.frame, self.d_theta, self.d_z)
         e, d_th, d_z = (np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1))) for a in planes)
 
@@ -144,9 +146,10 @@ class SurfaceNodes:
             for i in (1, 2):
                 out += np.multiply(m[i, k], v[i], out=tmp)
 
-        np.add(self.position, np.multiply(t[..., None], self.frame[..., 0], out=x), out=x)
-        x_i = np.moveaxis(x, -1, 0)  # x_i[i] is x[..., i]
-        par[..., :, 0] = np.stack([(e[0, k] * e[0, 0] + e[1, k] * e[1, 0]) + e[2, k] * e[2, 0] for k in range(3)], -1)
+        for i in range(3):
+            np.add(self.position[..., i], np.multiply(t, e[i, 0], out=x[i]), out=x[i])
+        for k in range(3):
+            par[k, 0] = (e[0, k] * e[0, 0] + e[1, k] * e[1, 0]) + e[2, k] * e[2, 0]
         for j, (a, kappa, d) in enumerate(((c.a_theta, c.kappa_theta, d_th), (c.a_z, c.kappa_z, d_z)), start=1):
             fac = stretched[2]  # a (1 + t kappa), scaled by e_2j last
             np.multiply(t, kappa, out=fac)
@@ -155,13 +158,12 @@ class SurfaceNodes:
             for i in range(3):
                 np.multiply(fac, e[i, j], out=stretched[i])
             for k in range(3):
-                rows_sum(e, k, stretched, col[k])
-                rows_sum(d, k, x_i, acc)
-                col[k] += acc
-            par[..., :, j] = np.moveaxis(scratch[2:5], 0, -1)
+                rows_sum(e, k, stretched, par[k, j])
+                rows_sum(d, k, x, acc)
+                par[k, j] += acc
         for k in range(3):
-            rows_sum(e, k, x_i, comp[..., k])
-        return IdentityMap(comp, par, x)
+            rows_sum(e, k, x, comp[k])
+        return IdentityMap(np.moveaxis(comp, 0, -1), np.moveaxis(par, (0, 1), (-2, -1)), np.moveaxis(x, 0, -1))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,9 @@ def _lone_sides(y, rotation, offset, grid, p):
     r = rotation
     if isinstance(rotation, str):
         r = mo.nearest_rotation(_mean_alone(mo.conjugate_3x3(frame, g), grid), warn_degenerate=False)
-    resid = np.einsum("...ij,...j->...i", frame, comp) - np.einsum("ij,...j->...i", r, grid.identity.points)
+    # einsum's summation order follows the layout of its inputs: feed it C-contiguous ones
+    comp, x = np.ascontiguousarray(comp), np.ascontiguousarray(grid.identity.points)
+    resid = np.einsum("...ij,...j->...i", frame, comp) - np.einsum("ij,...j->...i", r, x)
     b = _mean_alone(resid, grid) if offset == "mean" else np.zeros(3)
     field_norm = _lp_alone(resid - b, grid, p)
     dist_norm = _lp_alone(mo.dist_SO3(g), grid, p)
@@ -93,9 +95,13 @@ def test_stacked_field_slices_are_the_single_fields(grid, modes):
         comp, par = stacked.components(*args), stacked.partials(*args)
         assert comp.shape == (len(SEEDS), *grid.resolution, 3)
         assert par.shape == (len(SEEDS), *grid.resolution, 3, 3)
+        assert np.moveaxis(comp, -1, 0).flags.c_contiguous
+        assert np.moveaxis(par, (-2, -1), (0, 1)).flags.c_contiguous
         for k, seed in enumerate(SEEDS):
             single = fl.random_smooth_field(seed, 0.1, modes, s)
-            assert comp[k].flags.c_contiguous and par[k].flags.c_contiguous
+            # component-major: each entry of a seed's slice is one contiguous block
+            assert all(comp[k][..., i].flags.c_contiguous for i in range(3))
+            assert all(par[k][..., i, j].flags.c_contiguous for i in range(3) for j in range(3))
             assert comp[k].tobytes() == single.components(*args).tobytes()
             assert par[k].tobytes() == single.partials(*args).tobytes()
 

@@ -67,7 +67,10 @@ def test_identity_map_matches_einsum(grid):
         _same(ident.points, x)
         _same(ident.components, _in_frame_einsum(nodes, x))
         _same(ident.partials, _identity_partials_einsum(nodes, np.asarray(t, dtype=float), x))
-        assert all(a.flags.c_contiguous for a in ident)
+        # component-major storage behind the node-major shapes
+        assert np.moveaxis(ident.points, -1, 0).flags.c_contiguous
+        assert np.moveaxis(ident.components, -1, 0).flags.c_contiguous
+        assert np.moveaxis(ident.partials, (-2, -1), (0, 1)).flags.c_contiguous
 
 
 def test_grid_identity_is_the_fused_map(grid):
@@ -93,7 +96,8 @@ def test_matvec_matches_einsum_on_every_layout_it_replaces(grid):
     for m, v in cases:
         out = geo.matvec(m, v)
         assert out.flags.c_contiguous
-        _same(out, _matvec_einsum(m, v))
+        # einsum sums in matvec's order on a contiguous vector axis (the component-major x is not)
+        _same(out, _matvec_einsum(m, np.ascontiguousarray(v)))
 
 
 @pytest.mark.parametrize("batch", [(), (1,), (7,), (4, 9), (2, 6, 6)])

@@ -206,15 +206,17 @@ def test_quasi_uniform_rotations_deterministic_and_valid():
 
 def test_dist_memory_is_bounded_and_blocking_is_invisible():
     # the temporaries of dist_SO3 must not grow with the batch: at 200k
-    # matrices the traced peak stays within the output plus a fixed 8 MB
+    # matrices the traced peak stays within the output plus a fixed 8 MB,
+    # so neither storage is copied whole (a copy takes 14.4 MB)
     f = np.eye(3) + 1e-2 * np.random.default_rng(7).normal(size=(200_000, 3, 3))
-    tracemalloc.start()
-    try:
-        d = mo.dist_SO3(f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < d.nbytes + 8 * 2**20
+    for g in (f, _component_major(f)):
+        tracemalloc.start()
+        try:
+            d = mo.dist_SO3(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d.nbytes + 8 * 2**20
     # blocks do not change a bit: any slicing of the batch gives the same values
     parts = [mo.dist_SO3(f[lo : lo + 3001]) for lo in range(0, f.shape[0], 3001)]
     assert np.array_equal(d, np.concatenate(parts))
@@ -252,3 +254,54 @@ def test_gram_has_the_bits_of_the_shared_buffer_product(n):
         assert g.shape == (n, 3, 3), name
         assert np.array_equal(g.view(np.int64), syrk.view(np.int64)), name
         assert np.array_equal(g.view(np.int64), np.swapaxes(g, -1, -2).view(np.int64)), name
+
+
+def _entry_families(n: int, rng: np.random.Generator):
+    """``_gram_families``, then mixed magnitudes, exact zeros and -0.0."""
+    yield from _gram_families(n, rng)
+    f = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-8, 3, size=(n, 3, 3))
+    yield "log-uniform 1e-8..1e3", f
+    mask = rng.uniform(size=(n, 3, 3))
+    f = f.copy()
+    f[mask < 0.3], f[mask > 0.7] = 0.0, -0.0
+    yield "exact zeros and -0.0", f
+    perm = np.zeros((n, 3, 3))
+    cols = rng.permuted(np.tile([0, 1, 2], (n, 1)), axis=1)
+    perm[np.arange(n)[:, None], [0, 1, 2], cols] = rng.choice([-1.0, 1.0], size=(n, 3))
+    yield "signed permutations", perm
+    yield "signed permutations with -0.0", np.where(perm == 0.0, -0.0, perm)
+    yield "all -0.0", np.full((n, 3, 3), -0.0)
+
+
+def _component_major(f: np.ndarray) -> np.ndarray:
+    """f stored component-major: the (..., 3, 3) view of a C-contiguous (3, 3, ...) copy."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(f, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("n", [1, 9, 552, 4096])
+def test_gram_entries_have_the_bits_of_the_product_on_either_storage(n):
+    # dist_SO3 forms f^T f from np.vecdot of column views; it must round as
+    # the matmul does, node-major and component-major alike, zero signs included
+    rng = np.random.default_rng(n + 1)
+    for name, f in _entry_families(n, rng):
+        ref = np.swapaxes(f, -1, -2) @ f
+        columns = np.swapaxes(np.ascontiguousarray(np.swapaxes(f, -1, -2)), -1, -2)  # unit-stride columns
+        for storage, g in (("node-major", f), ("component-major", _component_major(f)), ("columns", columns)):
+            b = mo._gram_entries(np.moveaxis(g, (-2, -1), (0, 1)))
+            for i in range(3):
+                for j in range(3):
+                    assert b[j][i] is b[i][j]
+                    assert np.array_equal(b[i][j].view(np.int64), ref[:, i, j].view(np.int64)), (name, storage, i, j)
+
+
+@pytest.mark.parametrize("shape", [(1,), (552,), (2 * 4096 + 5,), (4, 9, 17)])
+def test_dist_of_component_major_storage_is_dist_of_its_copy(shape):
+    # the reports' gradients are component-major; blocks slice that storage in place
+    rng = np.random.default_rng(len(shape) + shape[0])
+    n = int(np.prod(shape))
+    for name, f in _entry_families(n, rng):
+        g = _component_major(f.reshape(shape + (3, 3)))
+        d = mo.dist_SO3(g)
+        assert d.shape == shape
+        assert np.array_equal(d, mo.dist_SO3(np.ascontiguousarray(g))), name
+

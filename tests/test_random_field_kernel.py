@@ -54,7 +54,9 @@ def _broadcast_field(seed, amplitude, mode_count, surface):
 def _same_as_reference(field, reference, args):
     comp, par = field.components(*args), field.partials(*args)
     ref_comp, ref_par = reference[0](*args), reference[1](*args)
-    assert comp.flags.c_contiguous
+    # component-major storage behind the node-major shapes: one contiguous block per entry
+    assert np.moveaxis(comp, -1, 0).flags.c_contiguous
+    assert np.moveaxis(par, (-2, -1), (0, 1)).flags.c_contiguous
     assert comp.shape == ref_comp.shape and par.shape == ref_par.shape
     assert comp.tobytes() == ref_comp.tobytes()
     assert par.tobytes() == ref_par.tobytes()
