@@ -15,7 +15,10 @@ machine speed hits both sides alike.  Per end-to-end metric the output holds
 each side's median and quartiles (``statistics.quantiles(method="inclusive")``)
 and their distance, the number of pairs in which the change was better, and
 the relative change of the medians; ``ops_failed`` and ``ops_attempted`` are
-summed over each side's runs.  ``--heldout-seed`` adds one more pair per
+summed over each side's runs.  ``unscaled`` holds the same summary, with the
+pairs in which the change was lower, for two numbers run.py prints besides
+its result: each run's median unscaled wall (``wall_raw_s``) and the median
+of its speed-gauge readings (``gauge_s``), by which the times were scaled.  ``--heldout-seed`` adds one more pair per
 workload at a benchmark seed kept out of the pairs, reported apart.  The
 flags are checked before anything runs: a ``--claim`` that is not
 ``WORKLOAD:METRIC`` for a listed workload, or a held-out seed that one of the
@@ -34,6 +37,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("wall_s", "wall_p75_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+UNSCALED = ("wall_raw_s", "gauge_s")  # printed by run.py as "name: value unit" lines
 WORKLOADS = ("battery", "sharpness", "audit")
 
 
@@ -76,6 +80,8 @@ def one_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     result["provenance"] = next(json.loads(x)["provenance"] for x in lines if x.startswith('{"provenance"'))
+    prefixes = tuple(f"{m}: " for m in UNSCALED)
+    result["unscaled"] = {x.split(":")[0]: float(x.split()[1]) for x in lines if x.startswith(prefixes)}
     return result
 
 
@@ -83,7 +89,7 @@ def pair(checkouts: dict, workload: str, seed: int, seconds: float, parent_first
     order = ("parent", "change") if parent_first else ("change", "parent")
     runs = {side: one_run(checkouts[side], workload, seed, seconds) for side in order}
     for side in order:
-        values = {m: runs[side]["metrics"][m]["value"] for m in METRICS}
+        values = {m: runs[side]["metrics"][m]["value"] for m in METRICS} | runs[side]["unscaled"]
         print(f"{workload} seed {seed} {side}: " + " ".join(f"{m}={v:.6g}" for m, v in values.items()),
               file=sys.stderr, flush=True)
     return runs
@@ -108,6 +114,17 @@ def summarize(runs: list[dict]) -> dict:
             "parent": parent,
             "change": change,
             "change_better_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
+            "relative_change": round(change["median"] / parent["median"] - 1.0, 4),
+            "runs": [[p, c] for p, c in zip(vals["parent"], vals["change"])],
+        }
+    out["unscaled"] = {}
+    for m in UNSCALED:
+        vals = {side: [r[side]["unscaled"][m] for r in runs] for side in ("parent", "change")}
+        parent, change = quartiles(vals["parent"]), quartiles(vals["change"])
+        out["unscaled"][m] = {
+            "parent": parent,
+            "change": change,
+            "change_lower_in_pairs": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
             "relative_change": round(change["median"] / parent["median"] - 1.0, 4),
             "runs": [[p, c] for p, c in zip(vals["parent"], vals["change"])],
         }
@@ -152,7 +169,7 @@ def main() -> int:
             "first within a pair (parent first on even i), each from its own checkout, run one at a time "
             "(scripts/bench_pairs.py), after `python -m compileall -q src perfbench` in each checkout so "
             "that no run or setup probe compiles a stale module. Times are at reference speed (perfbench's "
-            "speed gauge). Medians and quartiles (inclusive method) are over the runs of each side; `runs` "
+            "speed gauge); `unscaled` gives each run's median unscaled wall and gauge reading. Medians and quartiles (inclusive method) are over the runs of each side; `runs` "
             "lists each pair as [parent, change]. ops_failed and ops_attempted are summed over the runs of "
             "each side."
         ),
@@ -178,7 +195,8 @@ def main() -> int:
         held = {}
         for w in args.workloads:
             r = pair(checkouts, w, args.heldout_seed, args.seconds, True)
-            held[w] = {side: {m: r[side]["metrics"][m]["value"] for m in METRICS} for side in ("parent", "change")}
+            held[w] = {side: {m: r[side]["metrics"][m]["value"] for m in METRICS} | r[side]["unscaled"]
+                       for side in ("parent", "change")}
             held[w]["ops_failed"] = {side: r[side]["failed"] for side in ("parent", "change")}
         doc["heldout"] = {"seed": args.heldout_seed, "workloads": held}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -28,6 +28,8 @@ from .geometry import (
     ThinDomain,
     chart_coefficients,
     embed,
+    node_major,
+    summable,
 )
 from .matrixops import random_rotation
 
@@ -78,8 +80,8 @@ def frame_gradient(field: FrameField, surface: ParamSurface, t, theta, z) -> Arr
     par = field.partials(t, theta, z)
     if par is None:
         raise ValueError("field has no partials; supply analytic or sampled partials")
-    # C-contiguous: callers reduce it with numpy, whose summation order follows the layout
-    return np.ascontiguousarray(gradient_from_partials(comp, par, t, chart_coefficients(surface, theta, z)))
+    # its callers reduce it with numpy; the reports call gradient_from_partials, which copies nothing
+    return summable(gradient_from_partials(comp, par, t, chart_coefficients(surface, theta, z)))
 
 
 def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients) -> Array:
@@ -88,7 +90,7 @@ def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients
     ``coeffs`` may sit on the (theta, z) nodes alone; they broadcast over t,
     and t over a leading seed axis of stacked ``comp`` and ``par``.  The
     gradient is built component-major, one contiguous pass per entry into a
-    (3, 3, ...) buffer, and returned as its node-major (..., 3, 3) view.
+    (3, 3, ...) buffer, and returned as its node-major view (``node_major``).
     """
     ath, az, kth, kz, athz, azth = coeffs
     fac_th = 1.0 + t * kth
@@ -109,7 +111,7 @@ def gradient_from_partials(comp: Array, par: Array, t, coeffs: ChartCoefficients
     np.divide(par[..., 0, 2] - az * kz * yz, dz, out=g[0, 2])
     np.divide(par[..., 1, 2] - (azth / ath) * yz, dz, out=g[1, 2])
     np.divide(par[..., 2, 2] + az * kz * yt + (azth / ath) * yth, dz, out=g[2, 2])
-    return np.moveaxis(g, (0, 1), (-2, -1))
+    return node_major(g, 2)
 
 
 def on_grid(field: FrameField, grid) -> tuple[Array, Array]:
@@ -158,8 +160,8 @@ def euclidean_gradient_oracle(
     surface = domain.surface
 
     def y_euclid(tt, th, zz):
-        e = surface.frame(th, zz)  # einsum's order follows the layout: keep the components C-contiguous
-        return np.einsum("...ij,...j->...i", e, np.ascontiguousarray(field.components(tt, th, zz)))
+        e = surface.frame(th, zz)
+        return np.einsum("...ij,...j->...i", e, summable(field.components(tt, th, zz)))
 
     def x_euclid(tt, th, zz):
         return embed(domain, tt, th, zz, check=False)
@@ -219,15 +221,14 @@ def transform_rigid(
         dd_z = np.einsum("...ik,i->...k", de_z, c)
         return m, dm_th, dm_z, d, dd_th, dd_z
 
-    # einsum's order follows the layout, so its field inputs are C-contiguous
     def comp(t, theta, z):
         m, _, _, d, _, _ = mats(theta, z)
-        return np.einsum("...kl,...l->...k", m, np.ascontiguousarray(field.components(t, theta, z))) + d
+        return np.einsum("...kl,...l->...k", m, summable(field.components(t, theta, z))) + d
 
     def par(t, theta, z):
         m, dm_th, dm_z, _, dd_th, dd_z = mats(theta, z)
-        base = np.ascontiguousarray(field.components(t, theta, z))
-        dbase = np.ascontiguousarray(field.partials(t, theta, z))
+        base = summable(field.components(t, theta, z))
+        dbase = summable(field.partials(t, theta, z))
         out = np.einsum("...kl,...lj->...kj", m, dbase)
         out[..., 1] += np.einsum("...kl,...l->...k", dm_th, base) + dd_th
         out[..., 2] += np.einsum("...kl,...l->...k", dm_z, base) + dd_z
@@ -315,7 +316,7 @@ def random_smooth_field(
     ``_mode_sum`` adds the modes in ``np.sum``'s order: in sequence, ((m0 + m1) + m2) + ..., below 8
     modes, as the old (..., 3, modes) layout did.  Both outputs are stored
     component-major, as the (3, [S,] ...) and (3, 3, [S,] ...) mode sums,
-    and returned as their node-major views; a seed's slice of a stack has
+    and returned as their node-major views (``node_major``); a seed's slice of a stack has
     a lone seed's bits, and each of its entries is one contiguous block.
     """
     if amplitude < 0:
@@ -369,7 +370,7 @@ def random_smooth_field(
         shape, lift, at, ath, az = angles(t, theta, z)
         terms = np.empty((mode_count, 3) + lead + shape)
         product(terms, coef[lift], np.cos(at, out=at), np.cos(ath), np.cos(az))
-        return np.moveaxis(_mode_sum(terms, np.empty(terms.shape[1:])), 0, -1)
+        return node_major(_mode_sum(terms, np.empty(terms.shape[1:])), 1)
 
     def par(t, theta, z):
         shape, lift, at, ath, az = angles(t, theta, z)
@@ -382,7 +383,7 @@ def random_smooth_field(
         for j, (w, a, b, d) in enumerate(factors):
             product(terms, (-coef * w)[lift], a, b, d)
             _mode_sum(terms, out[:, j])
-        return np.moveaxis(out, (0, 1), (-2, -1))
+        return node_major(out, 2)
 
     return FrameField(
         comp,
@@ -525,7 +526,7 @@ def ansatz_displacement(
         ut = profile.w(xi, zz) + 0.0 * t
         uth = -t * s * profile.w_xi(xi, zz) / ath
         uz = -t * profile.w_z(xi, zz) / az
-        return np.moveaxis(np.stack(np.broadcast_arrays(ut, uth, uz)), 0, -1)
+        return node_major(np.stack(np.broadcast_arrays(ut, uth, uz)), 1)
 
     def par(t, theta, z):
         t, xi, zz = _data(t, theta, z)
@@ -552,7 +553,7 @@ def ansatz_displacement(
         out[2, 0] = -w_z / az
         out[2, 1] = -t * (s * w_xiz * az - w_z * az_th) / az**2
         out[2, 2] = -t * (w_zz * az - w_z * az_z) / az**2
-        return np.moveaxis(out, (0, 1), (-2, -1))
+        return node_major(out, 2)
 
     return FrameField(
         comp, par, kind="displacement", description=f"ansatz(h={h!r})"

@@ -64,6 +64,29 @@ def chart_coefficients(surface: ParamSurface, theta, z) -> ChartCoefficients:
     )
 
 
+# -- nodal storage -------------------------------------------------------------
+#
+# A report's nodal 3-vectors and 3x3 matrices (the map x -> x, the fields'
+# components and partials, the frame gradient) are built component-major, in
+# (3, ...) and (3, 3, ...) buffers where each entry is one contiguous block,
+# and handed out as their node-major (..., 3) and (..., 3, 3) views.  Numpy's
+# elementwise operations and this package's kernels give the same bits on
+# either storage.  einsum and numpy's reductions need not: the order in which
+# they sum follows the memory layout (tests/test_frame_contractions.py).  So
+# every einsum or reduction input that may be such a view goes through
+# ``summable``.
+
+
+def node_major(components: Array, rank: int) -> Array:
+    """The node-major view, (..., 3) or (..., 3, 3), of a component-major array (3, ...) or (3, 3, ...) of rank 1 or 2."""
+    return np.moveaxis(components, tuple(range(rank)), tuple(range(-rank, 0)))
+
+
+def summable(values: Array) -> Array:
+    """``values`` as a C-contiguous array, copied if it is not, for einsum or a numpy reduction (see above)."""
+    return np.ascontiguousarray(values)
+
+
 def matvec(m: Array, v: Array) -> Array:
     """M v per node, each entry summed as (m_i0 v_0 + m_i2 v_2) + m_i1 v_1.
 
@@ -122,10 +145,9 @@ class SurfaceNodes:
         e_theta) + (dE/dtheta)^T x, column 2 likewise in z: the stretch of the
         offset chart and the turning of the frame.  Each sum over the rows of a
         (3, 3) array runs in the order 0, 1, 2, as ``np.einsum("...ik,...i->...k")``
-        does.  Everything is built component-major, into (3, ...) and
-        (3, 3, ...) slices of one (15, ...) buffer that the map hands out as
-        node-major views, (..., 3) and (..., 3, 3): each entry is one
-        contiguous pass over the nodes.  The products use component-major
+        does.  Everything is built component-major (``node_major``), into
+        (3, ...) and (3, 3, ...) slices of one (15, ...) buffer: each entry
+        is one contiguous pass over the nodes.  The products use component-major
         copies of the (theta, z) arrays and five node-sized scratch arrays:
         tmp, acc and the three stretched vectors a (1 + t kappa) e_ij, each
         formed once per column.
@@ -163,7 +185,7 @@ class SurfaceNodes:
                 par[k, j] += acc
         for k in range(3):
             rows_sum(e, k, x, comp[k])
-        return IdentityMap(np.moveaxis(comp, 0, -1), np.moveaxis(par, (0, 1), (-2, -1)), np.moveaxis(x, 0, -1))
+        return IdentityMap(node_major(comp, 1), node_major(par, 2), node_major(x, 1))
 
 
 @dataclass(frozen=True)

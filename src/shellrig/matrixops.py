@@ -14,17 +14,18 @@ one-byte-per-entry finiteness mask) its temporaries stay at a few MB
 whatever the batch size.  The blocks do not change the bits: each matrix
 goes through the same operations as in a single call.
 
-``dist_SO3`` reads the entries of its batch through a component-major view,
-so it copies nothing whether a batch is stored node-major, (..., 3, 3), or
-component-major, as the reports' gradients are (a (3, 3, ...) buffer behind
-a node-major view).  It forms the six distinct entries of f^T f with
-``np.vecdot`` of column views, which calls BLAS ``ddot`` per entry and
+``dist_SO3`` and ``svd3`` start from f^T f (``_gram_entries``).  Its
+entries are read through a component-major view, so nothing is copied
+whether a batch is stored node-major, (..., 3, 3), or component-major, as
+the reports' gradients are (a (3, 3, ...) buffer behind a node-major view,
+see ``geometry.node_major``).  Each of the six distinct entries is an
+``np.vecdot`` of two column views, which calls BLAS ``ddot`` per matrix and
 rounds as the fused multiply-add chain of ``np.swapaxes(f, -1, -2) @ f``
-does, bit for bit on either storage (tests/test_matrixops.py).  ``svd3``
-still starts from ``_gram``, that matmul with a copied transposed operand:
-on one shared buffer numpy's matmul calls BLAS ``syrk`` per 3x3 matrix and
-copies the triangle, while the copy makes it call ``dgemm``, which gives the
-same bits 2-3.5x faster.
+does, bit for bit on either storage (tests/test_matrixops.py).  numpy
+hands BLAS only positive strides; on others it runs its own loop, without
+fused multiply-adds, so matrices whose rows lie at a zero or negative
+stride are copied first.  The agreement is a property of the BLAS build:
+it was checked with numpy 2.4's OpenBLAS on x86-64.
 
 Matrix norms are Frobenius throughout.
 """
@@ -117,9 +118,6 @@ def _eigvals(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Closed-form (trigonometric) roots of the characteristic cubic, then one
     Newton step on the polynomial where the spectrum is well separated.
-    An entry below the diagonal that is the array above it (``b[j][i] is
-    b[i][j]``, as ``dist_SO3`` passes f^T f) is scaled once, with the same
-    values.
     """
     q = (b[0][0] + b[1][1] + b[2][2]) / 3.0
     p1 = b[0][1] ** 2 + b[0][2] ** 2 + b[1][2] ** 2
@@ -128,10 +126,7 @@ def _eigvals(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
     safe_p = np.where(p > 0, p, 1.0)
 
-    a = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            a[i][j] = a[j][i] if j < i and b[i][j] is b[j][i] else (b[i][j] - q if i == j else b[i][j]) / safe_p
+    a = [[(b[i][j] - q if i == j else b[i][j]) / safe_p for j in range(3)] for i in range(3)]
     r = np.clip(_det(a) / 2.0, -1.0, 1.0)
     del a
     phi = np.arccos(r) / 3.0
@@ -152,7 +147,7 @@ def _eigvals(b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         fx = ((x - c2) * x + c1) * x - c0
         dfx = (3.0 * x - two_c2) * x + c1
         ok = np.abs(dfx) > small
-        lam.append(x - np.divide(fx, dfx, out=np.zeros_like(fx), where=ok))
+        lam.append(x - np.where(ok, fx / np.where(ok, dfx, 1.0), 0.0))
     # a sorting network; on finite values it picks what np.sort would
     lo01, hi01 = np.minimum(lam[0], lam[1]), np.maximum(lam[0], lam[1])
     return (
@@ -218,22 +213,14 @@ def jacobi_eigh_3x3(b: np.ndarray):
     return vals, vecs
 
 
-def _gram(f: np.ndarray) -> np.ndarray:
-    """f^T f per matrix, with the bits of ``np.swapaxes(f, -1, -2) @ f``.
-
-    Keep the copy: it moves numpy from its ``syrk`` route for a shared
-    buffer to its ``dgemm`` route (module docstring); tests/test_matrixops.py
-    checks that the bits agree.
-    """
-    return np.ascontiguousarray(np.swapaxes(f, -1, -2)) @ f
-
-
 def _gram_entries(m: np.ndarray) -> list[list[np.ndarray]]:
     """f^T f as entry arrays ``b[i][j]``, from the entries ``m[i, j]`` of 3x3 matrices f.
 
     Entry (i, j) is the ``np.vecdot`` of columns i and j, with the bits of
     ``np.swapaxes(f, -1, -2) @ f`` (module docstring); ``b[j][i] is b[i][j]``.
     """
+    if m.strides[0] <= 0:  # not a stride numpy passes to BLAS ddot
+        m = np.ascontiguousarray(m)
     b = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
@@ -252,10 +239,12 @@ def dist_SO3(f: np.ndarray) -> np.ndarray:
     With singular values s1 >= s2 >= s3 the squared distance is
     (s1-1)^2 + (s2-1)^2 + (s3-1)^2 for nonnegative determinant and
     (s1-1)^2 + (s2-1)^2 + (s3+1)^2 otherwise.  The singular values are the
-    roots of the eigenvalues of f^T f (``_singular_values``).  The entries
-    are read through ``np.moveaxis(f, (-2, -1), (0, 1))``, without a copy on
-    node-major or component-major storage, and the batch is evaluated in
-    blocks of ``_DIST_BLOCK`` matrices written into one output array.
+    roots of the eigenvalues of f^T f (``_gram_entries``), whose bits equal
+    the matmul's with numpy 2.4's OpenBLAS on x86-64 (module docstring).
+    The entries are read through ``np.moveaxis(f, (-2, -1), (0, 1))``,
+    without a copy on node-major or component-major storage, and the batch
+    is evaluated in blocks of ``_DIST_BLOCK`` matrices written into one
+    output array.
     """
     f = _check_finite(f)
     flat = f.reshape(-1, 3, 3)  # merges the batch axes only: a view on either storage
@@ -278,7 +267,8 @@ def svd3(f: np.ndarray):
     orthogonal (det(u) = +1 by construction of the third column).
     """
     f = _check_finite(f)
-    lam, v = jacobi_eigh_3x3(_gram(f))
+    b = _gram_entries(np.moveaxis(f, (-2, -1), (0, 1)))
+    lam, v = jacobi_eigh_3x3(np.stack([np.stack(row, axis=-1) for row in b], axis=-2))
     s = np.sqrt(np.maximum(lam, 0.0))
 
     scale = np.maximum(s[..., 0], 1e-300)

@@ -54,8 +54,8 @@ def _lone_sides(y, rotation, offset, grid, p):
     r = rotation
     if isinstance(rotation, str):
         r = mo.nearest_rotation(_mean_alone(mo.conjugate_3x3(frame, g), grid), warn_degenerate=False)
-    # einsum's summation order follows the layout of its inputs: feed it C-contiguous ones
-    comp, x = np.ascontiguousarray(comp), np.ascontiguousarray(grid.identity.points)
+    # einsum's summation order follows the layout of its inputs (geometry's nodal storage note)
+    comp, x = geo.summable(comp), geo.summable(grid.identity.points)
     resid = np.einsum("...ij,...j->...i", frame, comp) - np.einsum("ij,...j->...i", r, x)
     b = _mean_alone(resid, grid) if offset == "mean" else np.zeros(3)
     field_norm = _lp_alone(resid - b, grid, p)

@@ -74,6 +74,7 @@ def test_checkouts_are_compiled_before_the_first_pair(bench, monkeypatch, tmp_pa
             "metrics": {m: {"value": value} for m in bench.METRICS},
             "failed": 0,
             "attempted": 3,
+            "unscaled": {m: value for m in bench.UNSCALED},
             "provenance": {k: "x" for k in ("python", "numpy", "scipy", "nproc", "cpus_usable", "cpu")},
         }
 
@@ -90,7 +91,23 @@ def test_checkouts_are_compiled_before_the_first_pair(bench, monkeypatch, tmp_pa
     assert "compileall -q src perfbench" in doc["method"]
     assert doc["claim"]["change_better_in_pairs"] == 2
     assert doc["heldout"]["seed"] == 2
+    assert doc["workloads"]["sharpness"]["unscaled"]["wall_raw_s"]["change_lower_in_pairs"] == 2
+    assert doc["heldout"]["workloads"]["sharpness"]["change"]["gauge_s"] == 0.9
     assert doc["src_lines"] == {"parent": 3, "change": 2}
+
+
+def test_one_run_reads_the_unscaled_wall_and_gauge_lines(monkeypatch, tmp_path):
+    bench = _load()
+    stdout = "\n".join([
+        json.dumps({"provenance": {"python": "3"}}),
+        "wall_s: 0.09 s", "wall_raw_s: 0.061 s", "wall_raw_p75_s: 0.07 s", "gauge_s: 0.0052 s",
+        json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": {}}),
+    ])
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda *a, **k: type("Proc", (), {"returncode": 0, "stdout": stdout, "stderr": ""}))
+    result = bench.one_run(tmp_path, "sharpness", 0, 1.0)
+    assert result["unscaled"] == {"wall_raw_s": 0.061, "gauge_s": 0.0052}
+    assert result["provenance"] == {"python": "3"}
 
 
 def test_compile_checkout_writes_bytecode_even_without_bytecode_writing(tmp_path, monkeypatch):

@@ -97,7 +97,7 @@ def test_matvec_matches_einsum_on_every_layout_it_replaces(grid):
         out = geo.matvec(m, v)
         assert out.flags.c_contiguous
         # einsum sums in matvec's order on a contiguous vector axis (the component-major x is not)
-        _same(out, _matvec_einsum(m, np.ascontiguousarray(v)))
+        _same(out, _matvec_einsum(m, geo.summable(v)))
 
 
 @pytest.mark.parametrize("batch", [(), (1,), (7,), (4, 9), (2, 6, 6)])

@@ -242,20 +242,6 @@ def _gram_families(n: int, rng: np.random.Generator):
     yield "negative determinant", g
 
 
-@pytest.mark.parametrize("n", [1, 9, 552, 4096])
-def test_gram_has_the_bits_of_the_shared_buffer_product(n):
-    # _gram copies the transposed operand so that numpy calls dgemm; the
-    # product on one shared buffer goes through BLAS syrk.  Both must round
-    # alike, or every dist_SO3 and nearest_rotation value may move.
-    rng = np.random.default_rng(n)
-    for name, f in _gram_families(n, rng):
-        g = mo._gram(f)
-        syrk = np.swapaxes(f, -1, -2) @ f
-        assert g.shape == (n, 3, 3), name
-        assert np.array_equal(g.view(np.int64), syrk.view(np.int64)), name
-        assert np.array_equal(g.view(np.int64), np.swapaxes(g, -1, -2).view(np.int64)), name
-
-
 def _entry_families(n: int, rng: np.random.Generator):
     """``_gram_families``, then mixed magnitudes, exact zeros and -0.0."""
     yield from _gram_families(n, rng)
@@ -280,18 +266,26 @@ def _component_major(f: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 9, 552, 4096])
 def test_gram_entries_have_the_bits_of_the_product_on_either_storage(n):
-    # dist_SO3 forms f^T f from np.vecdot of column views; it must round as
-    # the matmul does, node-major and component-major alike, zero signs included
+    # dist_SO3 and svd3 form f^T f from np.vecdot of column views; it must round
+    # as the matmul of C-contiguous matrices does, on every storage, zero signs included
     rng = np.random.default_rng(n + 1)
     for name, f in _entry_families(n, rng):
-        ref = np.swapaxes(f, -1, -2) @ f
-        columns = np.swapaxes(np.ascontiguousarray(np.swapaxes(f, -1, -2)), -1, -2)  # unit-stride columns
-        for storage, g in (("node-major", f), ("component-major", _component_major(f)), ("columns", columns)):
+        storages = {
+            "node-major": f,
+            "component-major": _component_major(f),
+            "unit-stride columns": np.swapaxes(np.ascontiguousarray(np.swapaxes(f, -1, -2)), -1, -2),
+            "rows reversed": f[:, ::-1],
+            "one row broadcast": np.broadcast_to(f[:, :1], f.shape),
+            "unbatched": f[0],
+        }
+        for storage, g in storages.items():
+            c = np.ascontiguousarray(g)
+            ref = np.swapaxes(c, -1, -2) @ c
             b = mo._gram_entries(np.moveaxis(g, (-2, -1), (0, 1)))
             for i in range(3):
                 for j in range(3):
                     assert b[j][i] is b[i][j]
-                    assert np.array_equal(b[i][j].view(np.int64), ref[:, i, j].view(np.int64)), (name, storage, i, j)
+                    assert np.array_equal(b[i][j].view(np.int64), ref[..., i, j].view(np.int64)), (name, storage, i, j)
 
 
 @pytest.mark.parametrize("shape", [(1,), (552,), (2 * 4096 + 5,), (4, 9, 17)])

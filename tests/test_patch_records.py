@@ -48,8 +48,8 @@ def _patch_reference(v, dec, grid, p):
     comp, ge, rot, tot, resid, dist_nodes = loc._fit_patches(v, grid, ids, n, p)
     dist = loc._group_lp(ids, w, dist_nodes, n, p)
     x_e = grid.nodes.point(grid.t)
-    # einsum's summation order follows the layout of its inputs: feed it C-contiguous ones
-    v_e = np.einsum("...ij,...j->...i", grid.nodes.frame, np.ascontiguousarray(comp))
+    # einsum's summation order follows the layout of its inputs (geometry's nodal storage note)
+    v_e = np.einsum("...ij,...j->...i", grid.nodes.frame, geo.summable(comp))
     imr_x = x_e - np.einsum("...ij,...j->...i", rot[ids], x_e)
     b = loc._group_mean(ids, w, v_e + imr_x, n, tot)
     b_worst = loc._group_mean(ids, w, imr_x, n, tot)
