@@ -23,8 +23,8 @@ see ``geometry.node_major``).  Each of the six distinct entries is an
 rounds as the fused multiply-add chain of ``np.swapaxes(f, -1, -2) @ f``
 does, bit for bit on either storage (tests/test_matrixops.py).  numpy
 hands BLAS only positive strides; on others it runs its own loop, without
-fused multiply-adds, so matrices whose rows lie at a zero or negative
-stride are copied first.  The agreement is a property of the BLAS build:
+fused multiply-adds, so a batch whose row stride (``f.strides[-2]``) is
+zero or negative is copied first.  The agreement is a property of the BLAS build:
 it was checked with numpy 2.4's OpenBLAS on x86-64.
 
 Matrix norms are Frobenius throughout.
