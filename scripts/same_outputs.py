@@ -30,7 +30,8 @@ from pathlib import Path
 # sweeps, the Korn sweeps, p = 3, a rigid field, a run that fails (exit 1), and the
 # gradient check and doubling runs, which build thin domains and surfaces outside a sweep,
 # the identity field, whose R = I comes from its motion and whose reports are degenerate-exact,
-# and a trace on a uniform shell, whose fields are evaluated on an (nt, 1, 1) t axis
+# a trace on a uniform shell, whose fields are evaluated on an (nt, 1, 1) t axis, and a
+# best-fit rigid sweep on a bump, whose frame is curved, t varies per column and grids split into slabs
 ARGVS = (
     "sweep --surface sphere --field random --seeds 20 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 8 --nz 8",
     "sweep --surface sphere --field ansatz --p 2 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 32 --nz 16",
@@ -56,6 +57,8 @@ ARGVS = (
     "sweep --surface sphere --field identity --num-h 4 --nt 4 --ntheta 8 --nz 8",
     "trace --surface cylinder --profile shell --field random:7 --amplitude 1e-3 --gamma 0.5 --h 1e-2 --nt 2 "
     "--ntheta 16 --nz 16",
+    "sweep --surface sphere --profile bump --field rigid:5 --rotation-mode best-fit --num-h 4 --nt 6 --ntheta 48 "
+    "--nz 48",
 )
 
 

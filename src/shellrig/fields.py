@@ -49,9 +49,9 @@ class FrameField:
     coordinate order (t, theta, z).  ``kind`` is "deformation" (gradient
     compared against rotations) or "displacement" (compared against zero).
     ``displacement`` is (u, eps) when the field is the deformation x + eps*u
-    (``displacement_to_deformation``); grid evaluation then reads the map
-    x -> x from the grid's cache and evaluates only u.  ``motion`` is (Q, c)
-    when the field is exactly the rigid motion x -> Q x + c.
+    (``displacement_to_deformation``), and ``motion`` is (Q, c) when it is
+    exactly the rigid motion x -> Q x + c; either selects the grid route of
+    ``on_grid``, which reads x -> x from the grid's cache.
     """
 
     components: Callable
@@ -120,9 +120,12 @@ def on_grid(field: FrameField, grid) -> tuple[Array, Array]:
     Each callable is called once, with theta and z on the (ntheta, nz) nodes
     broadcasting against ``grid.t_axis`` (one column of t on a uniform shell),
     so t-only factors are computed once per thickness node; the outputs keep
-    the full grid shape and the bits of an evaluation on ``grid.t``.  For
-    x + eps*u only u is evaluated; x -> x comes from the grid's cache.
+    the full grid shape and the bits of an evaluation on ``grid.t``.  x -> x
+    comes from the grid's cache: x + eps*u evaluates only u, a rigid motion
+    no callable, and the identity's results are the cache's read-only arrays.
     """
+    if field.motion is not None:
+        return _moved(grid.nodes, *grid.identity[:2], *field.motion)
     th, zz = grid.plane
     base, eps = field.displacement or (field, None)
     comp = base.components(grid.t_axis, th, zz)
@@ -185,64 +188,59 @@ def euclidean_gradient_oracle(
 # -- built-in fields --------------------------------------------------------------
 
 
-def identity_deformation(surface: ParamSurface) -> FrameField:
-    """The map x -> x written in frame components on the offset chart."""
+def _moved(nodes, comp: Array, par: Array | None, q, c) -> tuple[Array, Array | None]:
+    """x -> Q y + c in frame components and partials, for y given by ``comp`` and ``par`` at ``nodes``.
+
+    E^T Q E y + E^T c; the turning of the frame (``SurfaceNodes.d_theta``,
+    ``d_z``) enters the partials, which are None when ``par`` is.  The exact
+    identity motion (Q = I, c = 0) returns ``comp`` and ``par`` themselves.
+    """
+    if np.array_equal(q, np.eye(3)) and not np.any(c):
+        return comp, par
+    e, de_th, de_z = nodes.frame, nodes.d_theta, nodes.d_z
+    m = np.einsum("...ik,ij,...jl->...kl", e, q, e)
+    base = summable(comp)
+    moved = np.einsum("...kl,...l->...k", m, base) + np.einsum("...ik,i->...k", e, c)
+    if par is None:
+        return moved, None
+    dm_th = np.einsum("...ik,ij,...jl->...kl", de_th, q, e) + np.einsum("...ik,ij,...jl->...kl", e, q, de_th)
+    dm_z = np.einsum("...ik,ij,...jl->...kl", de_z, q, e) + np.einsum("...ik,ij,...jl->...kl", e, q, de_z)
+    out = np.einsum("...kl,...lj->...kj", m, summable(par))
+    out[..., 1] += np.einsum("...kl,...l->...k", dm_th, base) + np.einsum("...ik,i->...k", de_th, c)
+    out[..., 2] += np.einsum("...kl,...l->...k", dm_z, base) + np.einsum("...ik,i->...k", de_z, c)
+    return moved, out
+
+
+def transform_rigid(field: FrameField, surface: ParamSurface, rotation: Array, offset: Array) -> FrameField:
+    """Post-compose a field with the rigid motion x -> Q x + c (``_moved``)."""
 
     def comp(t, theta, z):
-        return surface.nodes(theta, z).identity(t).components
+        return _moved(surface.nodes(theta, z), field.components(t, theta, z), None, rotation, offset)[0]
 
     def par(t, theta, z):
-        return surface.nodes(theta, z).identity(t).partials
+        base = field.components(t, theta, z), field.partials(t, theta, z)
+        return _moved(surface.nodes(theta, z), *base, rotation, offset)[1]
 
-    return FrameField(
-        comp, par, kind="deformation", description="identity", motion=(np.eye(3), np.zeros(3))
-    )
-
-
-def transform_rigid(
-    field: FrameField, surface: ParamSurface, rotation: Array, offset: Array
-) -> FrameField:
-    """Post-compose a field with the rigid motion x -> Q x + c."""
-    q = _arr(rotation)
-    c = _arr(offset)
-
-    def mats(theta, z):
-        nodes = surface.nodes(theta, z)
-        e, de_th, de_z = nodes.frame, nodes.d_theta, nodes.d_z
-        m = np.einsum("...ik,ij,...jl->...kl", e, q, e)
-        dm_th = np.einsum("...ik,ij,...jl->...kl", de_th, q, e) + np.einsum(
-            "...ik,ij,...jl->...kl", e, q, de_th
-        )
-        dm_z = np.einsum("...ik,ij,...jl->...kl", de_z, q, e) + np.einsum(
-            "...ik,ij,...jl->...kl", e, q, de_z
-        )
-        d = np.einsum("...ik,i->...k", e, c)
-        dd_th = np.einsum("...ik,i->...k", de_th, c)
-        dd_z = np.einsum("...ik,i->...k", de_z, c)
-        return m, dm_th, dm_z, d, dd_th, dd_z
-
-    def comp(t, theta, z):
-        m, _, _, d, _, _ = mats(theta, z)
-        return np.einsum("...kl,...l->...k", m, summable(field.components(t, theta, z))) + d
-
-    def par(t, theta, z):
-        m, dm_th, dm_z, _, dd_th, dd_z = mats(theta, z)
-        base = summable(field.components(t, theta, z))
-        dbase = summable(field.partials(t, theta, z))
-        out = np.einsum("...kl,...lj->...kj", m, dbase)
-        out[..., 1] += np.einsum("...kl,...l->...k", dm_th, base) + dd_th
-        out[..., 2] += np.einsum("...kl,...l->...k", dm_z, base) + dd_z
-        return out
-
-    return FrameField(
-        comp, par, kind=field.kind, description=f"rigid({field.description})"
-    )
+    return FrameField(comp, par, kind=field.kind, description=f"rigid({field.description})")
 
 
 def rigid_deformation(surface: ParamSurface, rotation: Array, offset: Array) -> FrameField:
-    """The rigid motion x -> Q x + c in frame components."""
-    f = transform_rigid(identity_deformation(surface), surface, rotation, offset)
-    return replace(f, description="rigid-motion", motion=(rotation, offset))
+    """The rigid motion x -> Q x + c in frame components: x -> x moved by ``_moved``."""
+
+    def comp(t, theta, z):
+        nodes = surface.nodes(theta, z)
+        return _moved(nodes, nodes.identity(t).components, None, rotation, offset)[0]
+
+    def par(t, theta, z):
+        nodes = surface.nodes(theta, z)
+        return _moved(nodes, *nodes.identity(t)[:2], rotation, offset)[1]
+
+    return FrameField(comp, par, "deformation", "rigid-motion", motion=(rotation, offset))
+
+
+def identity_deformation(surface: ParamSurface) -> FrameField:
+    """The map x -> x written in frame components on the offset chart: the rigid motion (I, 0)."""
+    return replace(rigid_deformation(surface, np.eye(3), np.zeros(3)), description="identity")
 
 
 def displacement_to_deformation(

@@ -44,10 +44,11 @@ class QuadratureGrid:
     the frame and chart coefficients on the (ntheta, nz) nodes only, since
     none depends on t; and ``identity``, the embedded points and the frame
     components and partials of the map x -> x on all nodes, built in one
-    pass from ``nodes`` by ``SurfaceNodes.identity``.  The latter are
-    stored component-major behind node-major (..., 3) and (..., 3, 3)
-    views (about 120 bytes per node), so hold a grid only while its
-    reports are evaluated: a sweep keeps ``resolution``, not the grid.
+    pass from ``nodes`` by ``SurfaceNodes.identity`` and read by the fields
+    (``fields.on_grid``) and by a report's fixed-R residual.  Its arrays are
+    stored component-major behind node-major (..., 3) and (..., 3, 3) views
+    (about 120 bytes per node), so hold a grid only while its reports are
+    evaluated: a sweep keeps ``resolution``, not the grid.
 
     ``slab(rows)`` is the sub-grid of a range of theta nodes, on which the
     reports evaluate a fine grid piece by piece.  It views ``t`` and

@@ -104,6 +104,22 @@ def test_on_grid_equals_the_evaluation_on_every_t_node(shell_grid, tmp_path):
             assert a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize("surface", SURFACES)
+def test_rigid_motions_on_grid_are_their_callables_on_every_node(surface):
+    # on_grid moves the grid's cached x -> x; the callables build it from grid.t and grid.plane
+    for profile in ("shell", "bump"):
+        grid = _grid(surface, profile)
+        for sub in (grid, grid.slab(slice(3, 7))):
+            for spec in ("rigid:4", "identity"):
+                field = fl.make_field(spec, sub.domain)
+                got = fl.on_grid(field, sub)
+                want = field.components(sub.t, *sub.plane), field.partials(sub.t, *sub.plane)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (profile, sub.resolution, spec)
+            # the identity's results are the grid's read-only cached arrays themselves
+            assert all(a is b for a, b in zip(got, sub.identity[:2])) and not got[0].flags.writeable
+
+
 def _stacks(grid):
     rng = np.random.default_rng(4)
     base = grid.resolution

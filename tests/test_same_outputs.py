@@ -40,9 +40,11 @@ def _stub(same, monkeypatch, differing=None):
 
 
 def test_argvs_are_the_byte_identical_runs_of_record(same):
-    record = json.loads((ROOT / "BENCH_26.json").read_text())["byte_identical_runs"]
+    record = json.loads((ROOT / "BENCH_27.json").read_text())["byte_identical_runs"]
     assert list(same.ARGVS) == record["argv"]
-    assert len(same.ARGVS) == 19
+    assert len(same.ARGVS) == 20
+    # the first 19 are the runs of record of BENCH_26.json
+    assert list(same.ARGVS[:19]) == json.loads((ROOT / "BENCH_26.json").read_text())["byte_identical_runs"]["argv"]
     # the first 18 are the runs of record of BENCH_24.json
     assert list(same.ARGVS[:18]) == json.loads((ROOT / "BENCH_24.json").read_text())["byte_identical_runs"]["argv"]
     # the first 17 are the runs of record of BENCH_23.json
@@ -60,9 +62,9 @@ def test_same_outputs_pass_and_are_recorded(same, monkeypatch, tmp_path, capsys)
     assert same.calls == [(side, line) for line in same.ARGVS for side in ("parent", "change")]
     doc = json.loads(out.read_text())
     assert doc["same"] is True and doc["argv"] == list(same.ARGVS)
-    assert [r["difference"] for r in doc["runs"]] == [None] * 19
+    assert [r["difference"] for r in doc["runs"]] == [None] * 20
     assert doc["runs"][0]["files"] == ["fit.json", "verdict.txt"]
-    assert capsys.readouterr().out.count("same: ") == 19
+    assert capsys.readouterr().out.count("same: ") == 20
 
 
 def test_one_differing_file_fails(same, monkeypatch, tmp_path, capsys):
@@ -73,7 +75,7 @@ def test_one_differing_file_fails(same, monkeypatch, tmp_path, capsys):
     assert f"DIFFERS in fit.json: {same.ARGVS[3]}" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["same"] is False
-    assert [r["difference"] for r in doc["runs"]] == [None] * 3 + ["fit.json"] + [None] * 15
+    assert [r["difference"] for r in doc["runs"]] == [None] * 3 + ["fit.json"] + [None] * 16
 
 
 @pytest.mark.parametrize(

@@ -146,6 +146,39 @@ def test_a_battery_builds_each_slab_map_at_most_twice(monkeypatch):
     assert builds == [8, 8, 8] * 2 * 4
 
 
+@pytest.mark.parametrize("rotation", ["motion", "best-fit"])
+@pytest.mark.parametrize("spec", ["rigid:3", "identity"])
+def test_a_rigid_report_builds_x_once_per_slab(monkeypatch, spec, rotation):
+    # 4x24x16 nodes and 384 node values per slab make 4 slabs of 6 rows; the field and
+    # the fixed-R residual read each slab's cached x -> x map, and nothing reads the surface
+    monkeypatch.setattr(ineq, "SLAB_NODES", 384)
+    seen = _rows_seen(monkeypatch)
+    s = geo.make_surface("sphere")
+    domain = geo.ThinDomain(s, geo.make_profile("shell", 1e-2, s))
+    grid = nm.build_grid(domain, (4, 24, 16))
+    grid.nodes  # the grid's plane geometry, built once per grid
+    y = fl.make_field(spec, domain)
+    builds, nodes_calls = [], []
+    identity, nodes = geo.SurfaceNodes.identity, geo.ParamSurface.nodes
+
+    def counted(self, t):
+        builds.append(np.shape(t)[1])
+        return identity(self, t)
+
+    def counted_nodes(self, theta, z):
+        nodes_calls.append(np.shape(theta))
+        return nodes(self, theta, z)
+
+    monkeypatch.setattr(geo.SurfaceNodes, "identity", counted)
+    monkeypatch.setattr(geo.ParamSurface, "nodes", counted_nodes)
+    q, c = y.motion
+    rep = ineq.interpolation_sides(y, q if rotation == "motion" else "best-fit", c, grid, 2.0)
+    assert seen == [6, 6, 6, 6]
+    assert builds == [6, 6, 6, 6]
+    assert nodes_calls == []
+    assert rep.lhs < 1e-12
+
+
 def _poisoned(h, first_rows_par: bool, last_rows_comp: bool) -> tuple:
     """x + h u for a random u with an infinite partial on the first theta rows and/or an
     infinite component on the last ones, and a 3x12x10 sphere grid."""
