@@ -30,8 +30,9 @@ from pathlib import Path
 # sweeps, the Korn sweeps, p = 3, a rigid field, a run that fails (exit 1), and the
 # gradient check and doubling runs, which build thin domains and surfaces outside a sweep,
 # the identity field, whose R = I comes from its motion and whose reports are degenerate-exact,
-# a trace on a uniform shell, whose fields are evaluated on an (nt, 1, 1) t axis, and a
-# best-fit rigid sweep on a bump, whose frame is curved, t varies per column and grids split into slabs
+# a trace on a uniform shell, whose fields are evaluated on an (nt, 1, 1) t axis, a
+# best-fit rigid sweep on a bump, whose frame is curved, t varies per column and grids split into slabs,
+# and a battery above the slab budget on a bump, whose chunks' slabs view the grid's one x -> x map
 ARGVS = (
     "sweep --surface sphere --field random --seeds 20 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 8 --nz 8",
     "sweep --surface sphere --field ansatz --p 2 --h-min 1e-3 --h-max 1e-1 --num-h 4 --nt 4 --ntheta 32 --nz 16",
@@ -59,6 +60,7 @@ ARGVS = (
     "--ntheta 16 --nz 16",
     "sweep --surface sphere --profile bump --field rigid:5 --rotation-mode best-fit --num-h 4 --nt 6 --ntheta 48 "
     "--nz 48",
+    "sweep --surface pseudosphere --profile bump --field random --seeds 4 --num-h 4 --nt 6 --ntheta 48 --nz 48",
 )
 
 

@@ -190,13 +190,6 @@ class SweepResult:
         return all(ok for ok, _ in self.verdicts.values())
 
 
-def _fixed_resolution(config: SweepConfig) -> tuple[int, int, int] | None:
-    """The grid resolution of every h, or None where ntheta follows h (an adaptive ansatz sweep)."""
-    if config.adaptive_theta and config.field.startswith("ansatz"):
-        return None
-    return (config.nt, config.ntheta, config.nz)
-
-
 def _metas(eps: float, specs: list, grid: nm.QuadratureGrid) -> list:
     return [{"epsilon": eps, "field": spec, "grid": grid.resolution} for spec in specs]
 
@@ -207,8 +200,12 @@ def _single_report(config: SweepConfig, grid: nm.QuadratureGrid, eps: float, spe
     ``y`` is the field of the one spec in ``specs``, or the battery seeds of
     ``specs`` stacked (``random_smooth_field`` of their seeds), which give a
     list of reports, one per seed.  A rigid motion (identity included) is
-    compared against itself; a displacement u enters as x + eps*u.
+    compared against itself; a displacement u enters as x + eps*u.  A
+    battery builds the grid's x -> x map whole, so the slabs of each of its
+    chunks view one map per grid.
     """
+    if config.field == "random":
+        grid.identity  # built whole here, so the slabs of every chunk view it
     if y.kind == "displacement":
         y = fl.displacement_to_deformation(grid.domain.surface, y, eps)
         rot, off = np.eye(3), ("mean" if config.offset_mode == "mean" else np.zeros(3))
@@ -282,11 +279,11 @@ def _sweep(config: SweepConfig, surface: geo.ParamSurface, report, epsilon) -> t
     0): the lowest seed's report is kept then, as a one-seed sweep of it
     would report it.
 
-    Where the resolution does not follow h (``_fixed_resolution``: all but
-    the adaptive ansatz sweep), the plane geometry (``norms.plane_nodes``)
-    is evaluated once, before any h runs, and each h's grid takes it
-    (``QuadratureGrid.sharing``); threads only read it.  Only that plane
-    outlives an h, never a grid or its other caches.
+    Where the resolution does not follow h (all but the adaptive ansatz
+    sweep), the plane geometry (``norms.plane_nodes``) is evaluated once,
+    before any h runs, and every h's grid finds it on the surface; threads
+    only read it.  Only that plane outlives an h, never a grid or its other
+    caches.
 
     A battery's fields do not depend on h: they are drawn once per sweep as
     stacked fields of ``max(1, inequality.SLAB_NODES // nodes per grid)``
@@ -294,14 +291,17 @@ def _sweep(config: SweepConfig, surface: geo.ParamSurface, report, epsilon) -> t
     and one report call evaluates it in one pass over its nodes, reductions
     included (each keeps the bits of a lone seed).  A grid above the budget
     gets one seed per chunk, so a fine battery needs no more memory than one
-    report and the slab maps its grid keeps (``norms.QuadratureGrid.slab``).
+    report and the x -> x map of its grid, which each chunk's slabs view
+    (``_single_report``, ``norms.QuadratureGrid.slab``).
     Only the ansatz field reads the ansatz profile, so no other sweep builds
     one.
     """
     battery = config.field == "random"
     profile = fl.default_ansatz_profile(surface) if config.field == "ansatz" else None
-    fixed = _fixed_resolution(config)
-    plane = None if fixed is None else nm.plane_nodes(surface, fixed)
+    follows_h = config.adaptive_theta and config.field.startswith("ansatz")
+    fixed = None if follows_h else (config.nt, config.ntheta, config.nz)
+    if fixed is not None:
+        nm.plane_nodes(surface, fixed)
     if battery:
         size = max(1, ineq.SLAB_NODES // math.prod(fixed))
         parts = [range(lo, min(lo + size, config.seeds)) for lo in range(0, config.seeds, size)]
@@ -313,10 +313,8 @@ def _sweep(config: SweepConfig, surface: geo.ParamSurface, report, epsilon) -> t
 
     def work(h: float):
         domain = geo.ThinDomain(surface, geo.make_profile(config.profile, h, surface))
-        if plane is None:
-            grid = nm.build_grid(domain, (config.nt, nm.adaptive_theta_resolution(domain, config.ntheta), config.nz))
-        else:
-            grid = nm.build_grid(domain, fixed).sharing(plane)
+        resolution = fixed or (config.nt, nm.adaptive_theta_resolution(domain, config.ntheta), config.nz)
+        grid = nm.build_grid(domain, resolution)
         eps = epsilon(h)
         # an overflow fails on the finiteness checks of the norms and of
         # dist_SO3, so numpy's floating-point warnings would only add noise

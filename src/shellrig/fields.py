@@ -13,6 +13,7 @@ is deterministic, so parallel sweeps are reproducible.
 
 from __future__ import annotations
 
+import csv
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -635,19 +636,26 @@ FIELD_SPEC = re.compile(r"identity|ansatz|(rigid|random)(:[0-9]+)?|user:.+")
 
 
 def field_kind(spec: str) -> str:
-    """Kind of the field ``make_field(spec)`` builds; raises ValueError on a malformed spec or a missing file.
+    """Kind of the field ``make_field(spec)`` builds; raises ValueError on a malformed spec or a bad file.
 
     The grammar is ``FIELD_SPEC``: identity | rigid:<seed> | ansatz |
     random:<seed> | user:<csv>, where a seed is a nonnegative decimal integer
     of at least one digit; ``rigid`` or ``random`` without a colon means seed 0.
+    A ``user:`` file must exist and have the header t,theta,z plus three
+    value columns.
     """
     if not FIELD_SPEC.fullmatch(spec):
         raise ValueError(
             f"unknown field spec {spec!r} "
             "(expected identity, rigid:<seed>, ansatz, random:<seed> or user:<csv>)"
         )
-    if spec.startswith("user:") and not Path(spec[5:]).is_file():
-        raise ValueError(f"no such file for the field {spec!r}")
+    if spec.startswith("user:"):
+        if not Path(spec[5:]).is_file():
+            raise ValueError(f"no such file for the field {spec!r}")
+        with open(spec[5:], newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if header[:3] != ["t", "theta", "z"] or len(header) != 6:
+            raise ValueError(f"the field {spec!r} needs a CSV header t,theta,z and three value columns")
     return "deformation" if spec.partition(":")[0] in ("identity", "rigid") else "displacement"
 
 

@@ -201,10 +201,12 @@ class ParamSurface:
     The maps are pure, so what depends on the surface alone is computed on
     first use and kept in ``memo`` for the surface's lifetime: the interior
     samples and the maps on them (``on_samples``) per sample count,
-    ``h0()``, ``metric_extents()`` and the difference stencil of
-    ``ThicknessProfile.validate_on``.  The sweep's thin domains, one per h,
-    share them.  Kept arrays are read-only, and the samples and the stencil
-    are broadcast views of their 1-d node sets, so a memo holds tens of KB.
+    ``h0()``, ``metric_extents()``, the difference stencil of
+    ``ThicknessProfile.validate_on`` and the plane geometry of the last
+    (ntheta, nz) asked for (``norms.plane_nodes``).  The sweep's thin
+    domains and grids, one per h, share them.  Kept arrays are read-only,
+    and the samples and the stencil are broadcast views of their 1-d node
+    sets; the plane takes about 288 bytes per (theta, z) node.
     ``memo`` is no init field, so ``dataclasses.replace`` gives a surface
     with maps of its own a fresh one.
     """

@@ -182,7 +182,7 @@ def _slab_norms(y: FrameField, grid: QuadratureGrid, p: float, *quantities) -> t
 def interpolation_sides(
     y: FrameField,
     rotation: Array | str,
-    offset: Array | str | None,
+    offset: Array | str,
     grid: QuadratureGrid,
     p: float,
     meta: dict | list | None = None,
@@ -190,8 +190,8 @@ def interpolation_sides(
     """Evaluate every side of the interpolation inequality for a deformation.
 
     ``rotation`` is a matrix in SO(3), or "best-fit" for the nearest rotation
-    to the volume mean of the gradient.  ``offset`` is a vector, None for
-    zero, or "mean" for the L^2-optimal offset given the rotation.  The
+    to the volume mean of the gradient.  ``offset`` is a 3-vector, or
+    "mean" for the L^2-optimal offset given the rotation.  The
     field's components and partials are evaluated once, on ``grid``; the
     thickness h of the product term is that of ``grid.domain``.
 
@@ -219,7 +219,7 @@ def interpolation_sides(
     if isinstance(rotation, str) and rotation != "best-fit":
         raise ValueError("rotation must be a 3x3 matrix or 'best-fit'")
     if isinstance(offset, str) and offset != "mean":
-        raise ValueError("offset must be a 3-vector, None, or 'mean'")
+        raise ValueError("offset must be a 3-vector or 'mean'")
     best_fit = isinstance(rotation, str)
     frame_t = np.swapaxes(grid.nodes.frame, -1, -2)
     if not best_fit:
@@ -264,7 +264,7 @@ def interpolation_sides(
     if isinstance(offset, str):
         offsets = weighted_means(resid, grid)
     else:
-        offsets = np.broadcast_to(np.zeros(3) if offset is None else np.asarray(offset, dtype=float), (len(resid), 3))
+        offsets = np.broadcast_to(np.asarray(offset, dtype=float), (len(resid), 3))
     resid -= offsets[:, None, None, None]
     field_norms = lp_norms(resid, grid, p)
     del resid

@@ -19,7 +19,7 @@ from .fields import FrameField, frame_gradient  # noqa: F401  (tools bind locali
 from .geometry import ProfileError, ThicknessProfile, ThinDomain, embed, matvec  # noqa: F401  (tools bind embed)
 from .inequality import _joined, _slabs
 from .matrixops import conjugate_3x3, dist_SO3, nearest_rotation
-from .norms import QuadratureGrid, frobenius, lp_norm
+from .norms import QuadratureGrid, build_grid, frobenius, lp_norm
 
 Array = np.ndarray
 
@@ -409,7 +409,7 @@ def shell_to_domain_trace(v: FrameField, grid: QuadratureGrid, p: float) -> Shel
         raise ProfileError(
             "core shell is not contained in the domain (profile violates the uniform bounds)"
         )
-    core_grid = grid.on_domain(core)
+    core_grid = build_grid(core, grid.resolution)
 
     l_th, l_z = surface.metric_extents()
     dec = _build_partition(domain, max(10.0 * domain.h, max(l_th, l_z) / 24), gamma=1.0)

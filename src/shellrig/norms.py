@@ -42,25 +42,22 @@ class QuadratureGrid:
     the axis it varies over ((nt, 1, 1) when every column holds the same t
     nodes, as on a uniform shell), on which fields are evaluated; ``nodes``,
     the frame and chart coefficients on the (ntheta, nz) nodes only, since
-    none depends on t; and ``identity``, the embedded points and the frame
-    components and partials of the map x -> x on all nodes, built in one
-    pass from ``nodes`` by ``SurfaceNodes.identity`` and read by the fields
-    (``fields.on_grid``) and by a report's fixed-R residual.  Its arrays are
-    stored component-major behind node-major (..., 3) and (..., 3, 3) views
-    (about 120 bytes per node), so hold a grid only while its reports are
-    evaluated: a sweep keeps ``resolution``, not the grid.
+    none depends on t: the plane that every grid on its surface with its
+    (ntheta, nz) takes (``plane_nodes``); and ``identity``, the embedded
+    points and the frame components and partials of the map x -> x on all
+    nodes, built in one pass from ``nodes`` by ``SurfaceNodes.identity`` and
+    read by the fields (``fields.on_grid``) and by a report's fixed-R
+    residual.  Its arrays are stored component-major behind node-major
+    (..., 3) and (..., 3, 3) views (about 120 bytes per node), so hold a
+    grid only while its reports are evaluated: a sweep keeps
+    ``resolution``, not the grid.
 
     ``slab(rows)`` is the sub-grid of a range of theta nodes, on which the
-    reports evaluate a fine grid piece by piece.  It views ``t`` and
-    ``weights`` and shares the plane geometry: its ``nodes`` and ``t_axis``
-    are this grid's, cut to the rows, so nothing is evaluated again.  Its
-    own ``identity`` is built for its nodes only.  The whole range is the
-    grid itself, so a grid that fits one slab keeps its ``identity`` for
-    every report on it (a battery's chunks).  A sub-grid dies with the
-    report that asked for it the first time, so a lone report holds the
-    x -> x map of one slab at a time; rows asked for again (by the next
-    chunk of a battery) keep their sub-grid for the grid's lifetime, so a
-    battery builds each slab's map at most twice per grid.
+    reports evaluate a fine grid piece by piece.  It views ``t``,
+    ``weights`` and what this grid has evaluated so far (``nodes``,
+    ``t_axis`` and ``identity``), cut to the rows, so nothing is evaluated
+    again; an ``identity`` the grid has not built is built for the slab's
+    nodes alone, and dies with the slab.  The whole range is the grid itself.
 
     ``memo`` holds what depends on a field as well as the grid.  Only the
     localization audit fills it, with one entry ``"nodal"``: the last field
@@ -70,11 +67,6 @@ class QuadratureGrid:
     The key is the field object itself (held, so its identity cannot be
     reused); another field replaces the entry, and it dies with the grid.
     Sweeps never use it.
-
-    A grid on another profile of the same surface at the same resolution has
-    the same (theta, z) nodes, so it shares the plane geometry: ``on_domain``
-    (the audit's core-shell grid) reuses ``nodes`` instead of evaluating them,
-    and ``sharing`` gives a grid the ``plane_nodes`` of its sweep.
     """
 
     domain: ThinDomain
@@ -107,7 +99,7 @@ class QuadratureGrid:
 
     @cached_property
     def nodes(self) -> SurfaceNodes:
-        return self.domain.surface.nodes(*self.plane)
+        return plane_nodes(self.domain.surface, self.resolution)
 
     @cached_property
     def identity(self) -> IdentityMap:
@@ -116,39 +108,19 @@ class QuadratureGrid:
             a.flags.writeable = False
         return out
 
-    @cached_property
-    def _kept_slabs(self) -> dict:
-        return {}  # (lo, hi) -> the sub-grid once asked for twice, else None
-
     def slab(self, rows: slice) -> QuadratureGrid:
-        """The sub-grid of the theta nodes ``rows`` (a slice of unit step); the whole range is ``self``.
-
-        Rows asked for a second time keep their sub-grid, and so its
-        ``identity``, for the grid's lifetime.
-        """
+        """The sub-grid of the theta nodes ``rows`` (a slice of unit step); the whole range is ``self``."""
         nt, nth, nz = self.resolution
         lo, hi, _ = rows.indices(nth)
         if (lo, hi) == (0, nth):
             return self
-        sub = self._kept_slabs.get((lo, hi))
-        if sub is None:
-            sub = QuadratureGrid(self.domain, (nt, hi - lo, nz), self.t[:, lo:hi], self.theta[lo:hi], self.z,
-                                 self.weights[:, lo:hi])
-            sub.__dict__["nodes"] = self.nodes.rows(lo, hi)  # fills the cached properties
-            sub.__dict__["t_axis"] = self.t_axis if self.t_axis.shape[1] == 1 else self.t_axis[:, lo:hi]
-            self._kept_slabs[lo, hi] = sub if (lo, hi) in self._kept_slabs else None
+        sub = QuadratureGrid(self.domain, (nt, hi - lo, nz), self.t[:, lo:hi], self.theta[lo:hi], self.z,
+                             self.weights[:, lo:hi])
+        sub.__dict__["nodes"] = self.nodes.rows(lo, hi)  # fills the cached properties
+        sub.__dict__["t_axis"] = self.t_axis if self.t_axis.shape[1] == 1 else self.t_axis[:, lo:hi]
+        if "identity" in self.__dict__:
+            sub.__dict__["identity"] = IdentityMap(*(a[:, lo:hi] for a in self.identity))
         return sub
-
-    def on_domain(self, domain: ThinDomain) -> QuadratureGrid:
-        """``build_grid(domain, self.resolution)`` for a domain on this surface, sharing ``nodes``."""
-        if domain.surface is not self.domain.surface:
-            raise ValueError("a grid shares its plane geometry only with a domain on its surface")
-        return build_grid(domain, self.resolution).sharing(self.nodes)
-
-    def sharing(self, nodes: SurfaceNodes) -> QuadratureGrid:
-        """This grid, taking ``nodes``, the plane geometry of any grid on its surface at its resolution."""
-        self.__dict__["nodes"] = nodes  # fills the cached property
-        return self
 
     def mesh(self) -> tuple[Array, Array, Array]:
         """Full (nt, ntheta, nz) coordinate arrays."""
@@ -334,14 +306,22 @@ def _plane_rules(surface, nth: int, nz: int) -> tuple[Array, Array, Array, Array
 
 
 def plane_nodes(surface, resolution: tuple[int, int, int]) -> SurfaceNodes:
-    """``build_grid(domain, resolution).nodes`` for every thin domain on ``surface``, without a grid.
+    """The plane geometry of every grid on ``surface`` with the (ntheta, nz) of ``resolution``.
 
-    It depends on neither h nor the profile, so a sweep at one resolution
-    hands it to each h's grid (``QuadratureGrid.sharing``).
+    It depends on neither h nor the profile nor nt.  ``surface.memo`` keeps
+    one plane with its (ntheta, nz); other counts drop it before their plane
+    is evaluated, so a surface holds one plane at a time.  The plane returned
+    is the one found or built here, which another thread may since have
+    replaced in the memo.
     """
     _, nth, nz = (int(n) for n in resolution)
-    theta, _, z, _ = _plane_rules(surface, nth, nz)
-    return surface.nodes(theta[:, None], z[None, :])
+    plane = surface.memo.get("plane", {}).get((nth, nz))
+    if plane is None:
+        surface.memo.pop("plane", None)  # before another plane is evaluated
+        theta, _, z, _ = _plane_rules(surface, nth, nz)
+        plane = surface.nodes(theta[:, None], z[None, :])
+        surface.memo["plane"] = {(nth, nz): plane}
+    return plane
 
 
 def adaptive_theta_resolution(domain: ThinDomain, base: int = 64) -> int:

@@ -78,6 +78,7 @@ def test_bad_field_spec_is_a_usage_error(tmp_path, capsys, subcommand, argv, nam
         ("sweep", None, ["--field", "random:1", "--modes", "0"], "modes"),
         ("sweep", None, ["--field", "random:1", "--amplitude", "-1"], "amplitude"),
         ("sweep", None, ["--field", "user:missing.csv"], "'user:missing.csv'"),
+        ("sweep", None, ["--field", "user:bad.csv"], "header t,theta,z"),
         ("korn-sweep", None, ["--field", "identity"], "'identity'"),
     ],
 )
@@ -86,6 +87,7 @@ def test_config_value_errors_exit_2_before_any_file(
 ):
     # config-file values get the checks a flag gets; none of these leaves --out behind
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")  # a user: field whose header is not the schema
     if file_vals is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(file_vals))
         argv = ["--config", "cfg.json", *argv]

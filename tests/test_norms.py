@@ -356,39 +356,31 @@ def test_samples_csv_rejects_bad_header(tmp_path):
         nm.read_samples_csv(path)
 
 
-@pytest.mark.parametrize("name", ["cylinder", "pseudosphere"])
-def test_grid_on_another_profile_shares_the_plane_geometry(name):
-    s = geo.make_surface(name)
-    resolution = (3, 12, 10)
-    bump = nm.build_grid(geo.ThinDomain(s, geo.make_profile("bump", 2e-2, s)), resolution)
-    shell = geo.ThinDomain(s, geo.shell_profile(2e-2))
-    shared = bump.on_domain(shell)
-    fresh = nm.build_grid(shell, resolution)
-    assert shared.nodes is bump.nodes and shared.domain is shell
-
-    def arrays(g):
-        n = g.nodes
-        return (n.position, n.frame, n.d_theta, n.d_z, *n.coeffs, g.t, g.theta, g.z, g.weights)
-
-    for got, want in zip(arrays(shared), arrays(fresh)):
-        assert got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="only with a domain on its surface"):
-        bump.on_domain(geo.ThinDomain(geo.make_surface(name), geo.shell_profile(2e-2)))
-
-
-@pytest.mark.parametrize("name", ["plate", "sphere", "pseudosphere"])
-def test_plane_nodes_are_the_plane_geometry_of_every_grid_on_the_surface(name):
-    # a sweep at a fixed resolution evaluates the plane once and gives it to each h's grid
+@pytest.mark.parametrize("name", ["plate", "cylinder", "sphere", "pseudosphere"])
+def test_every_grid_on_a_surface_takes_its_one_plane_geometry(name):
+    # the (theta, z) geometry depends on the surface and (ntheta, nz) alone, so
+    # grids of every profile, h and nt take the plane the surface keeps
     s = geo.make_surface(name)
     plane = nm.plane_nodes(s, (3, 12, 10))
-    for profile, h in (("shell", 1e-3), ("bump", 2e-2)):
-        grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(profile, h, s)), (3, 12, 10))
-        n = grid.nodes
-        for got, want in zip((plane.position, plane.frame, plane.d_theta, plane.d_z, *plane.coeffs),
-                             (n.position, n.frame, n.d_theta, n.d_z, *n.coeffs)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        shared = nm.build_grid(grid.domain, (3, 12, 10)).sharing(plane)
-        assert shared.nodes is plane
+    for profile, h, nt in (("shell", 1e-3, 3), ("shell", 2e-2, 4), ("bump", 2e-2, 3), ("bump", 1e-2, 5)):
+        grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile(profile, h, s)), (nt, 12, 10))
+        assert grid.nodes is plane
+
+    def arrays(n):
+        return (n.position, n.frame, n.d_theta, n.d_z, *n.coeffs)
+
+    fresh = s.nodes(grid.theta[:, None], grid.z[None, :])
+    for got, want in zip(arrays(plane), arrays(fresh)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a grid on another surface object evaluates a plane of its own, with the same bits
+    elsewhere = nm.build_grid(geo.ThinDomain(geo.make_surface(name), geo.shell_profile(2e-2)), (3, 12, 10))
+    assert elsewhere.nodes is not plane
+    for got, want in zip(arrays(elsewhere.nodes), arrays(plane)):
+        assert got.tobytes() == want.tobytes()
+    # other node counts replace the kept plane; a grid keeps the plane it took
+    other = nm.build_grid(grid.domain, (3, 14, 10))
+    assert other.nodes is not plane and nm.plane_nodes(s, (3, 14, 10)) is other.nodes
+    assert nm.plane_nodes(s, (3, 12, 10)) is not plane and grid.nodes is plane
 
 
 @pytest.mark.parametrize("resolution", [(3, 17, 11), (4, 16, 12), (4, 506, 16)], ids=lambda r: "x".join(map(str, r)))

@@ -118,14 +118,19 @@ def test_slab_views_the_grid_and_shares_its_plane_geometry():
         assert sub.nodes.point(sub.t).tobytes() == sub.identity.points.tobytes()
 
 
-def test_rows_asked_for_again_keep_their_slab():
+def test_a_slab_views_the_map_its_grid_has_built():
     s = geo.make_surface("sphere")
-    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile("shell", 1e-2, s)), (3, 12, 10))
-    first, second, third = (grid.slab(slice(0, 6)) for _ in range(3))
-    assert first is not second and second is third
+    grid = nm.build_grid(geo.ThinDomain(s, geo.make_profile("bump", 1e-2, s)), (3, 12, 10))
+    alone = grid.slab(slice(4, 7)).identity  # before the grid's map: built for the rows alone
+    for a, whole in zip(alone, grid.identity):
+        assert not np.shares_memory(a, whole)
+    viewed = grid.slab(slice(4, 7)).identity
+    for a, b, whole in zip(alone, viewed, grid.identity):
+        assert np.shares_memory(b, whole) and not b.flags.writeable
+        assert a.tobytes() == b.tobytes()
 
 
-def test_a_battery_builds_each_slab_map_at_most_twice(monkeypatch):
+def test_a_battery_builds_one_whole_grid_map_per_h(monkeypatch):
     # 4x24x24 = 2304 nodes is above the node budget, so 4 seeds make 4 chunks per h;
     # 96 nodes per theta row and 1000 node values per slab make 3 slabs of 8 rows
     monkeypatch.setattr(ineq, "SLAB_NODES", 1000)
@@ -138,12 +143,15 @@ def test_a_battery_builds_each_slab_map_at_most_twice(monkeypatch):
         return identity(nodes, t)
 
     monkeypatch.setattr(geo.SurfaceNodes, "identity", counted)
-    res = ex.run_sweep(ex.SweepConfig(field="random", seeds=4, num_h=4, h_min=1e-2, h_max=1e-1,
-                                      nt=4, ntheta=24, nz=24, adaptive_theta=False))
-    assert len(res.rows) == 4
+    config = ex.SweepConfig(field="random", seeds=4, num_h=4, h_min=1e-2, h_max=1e-1,
+                            nt=4, ntheta=24, nz=24, adaptive_theta=False)
+    assert len(ex.run_sweep(config).rows) == 4
     assert seen == [8, 8, 8] * 4 * 4
-    # per h: the first chunk's slabs die with it, the second's are kept for the rest
-    assert builds == [8, 8, 8] * 2 * 4
+    assert builds == [24] * 4  # every chunk's slabs view the grid's one map
+    seen.clear()
+    assert len(ex.korn_sweep(config).rows) == 4
+    assert seen == [8, 8, 8] * 4 * 4
+    assert builds == [24] * 4  # a Korn battery never reads x -> x
 
 
 @pytest.mark.parametrize("rotation", ["motion", "best-fit"])

@@ -125,5 +125,15 @@ def test_adaptive_ansatz_sweep_builds_one_plane_per_h_and_keeps_one_alive(monkey
     assert alive_at_build == [1, 1, 1, 1]
 
 
+def test_threaded_adaptive_sweep_keeps_the_serial_bits():
+    # ntheta follows h, so the threads' grids replace the plane their surface keeps
+    cfg = dict(field="ansatz", num_h=4, h_min=1e-3, h_max=1e-1, nt=4, ntheta=32, nz=16)
+    serial, threaded = (ex.run_sweep(ex.SweepConfig(threads=n, **cfg)) for n in (1, 4))
+    assert len({row["grid_ntheta"] for row in serial.rows}) == 4
+    assert [{k: repr(v) for k, v in row.items()} for row in threaded.rows] == [
+        {k: repr(v) for k, v in row.items()} for row in serial.rows
+    ]
+
+
 if __name__ == "__main__":
     PATH.write_text(json.dumps({key: _rows(key) for key in KEYS}, indent=1, sort_keys=True))
